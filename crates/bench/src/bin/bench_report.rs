@@ -15,7 +15,7 @@
 //!   `speedup` over a serial reference);
 //! * pattern-comparison reports (a `patterns` array of
 //!   `{pattern, *_ns_per_op|*_ns_per_round, speedup}` rows, as written by
-//!   `event_queue_bench` and `transfer_bench`);
+//!   `rng_bench`);
 //! * fleet reports (a `headline` object plus a `frontier` array, as
 //!   written by `fleet_bench`): the headline population, the
 //!   Pareto-frontier cells of the cost-vs-QoE grid, and the exact anchor;

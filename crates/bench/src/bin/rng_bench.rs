@@ -80,7 +80,7 @@ fn deviate_pattern(name: &'static str, kind: DrawKind) -> (String, f64, f64) {
 }
 
 /// Runs `ROUNDS` jittered link rounds (RTT jitter draw, rate sample, loss
-/// draw — the per-round sampling of the TCP epoch engine) and folds the
+/// draw — the per-round sampling of the TCP round loop) and folds the
 /// samples into a checksum.
 fn link_rounds(mode: DeviateMode) -> f64 {
     let profile = PathProfile::wifi_testbed().with_deviate_mode(mode);

@@ -469,7 +469,7 @@ impl WorkloadSpec {
     /// This finally wires the `adaptation` module into a sweepable
     /// workload — and, because every decision is a timer wakeup, its cells
     /// are the registry's most tick-heavy sessions, exercising the event
-    /// queue's near-horizon calendar path.
+    /// queue's near-horizon timers.
     pub fn abr_ladder(runs: u64) -> WorkloadSpec {
         WorkloadSpec {
             name: "abr/ladder".into(),

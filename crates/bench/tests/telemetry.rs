@@ -84,7 +84,7 @@ fn post_replay_exposition_roundtrips_through_line_parser() {
     // Make sure at least something is registered even if this test runs
     // first in the binary.
     telemetry::count("msp_sessions_total", 0);
-    telemetry::count_with("msp_transfer_requests_total", &[("engine", "block")], 0);
+    telemetry::count_with("msp_chaos_cases_total", &[("plan", "none")], 0);
     let text = telemetry::render_prometheus();
     let mut samples = 0usize;
     for line in text.lines() {

@@ -8,7 +8,6 @@ use crate::abr::{AbrMode, AbrPolicyKind};
 use crate::adaptation::AdaptationConfig;
 use msim_core::time::SimDuration;
 use msim_core::units::ByteSize;
-pub use msim_net::tcp::TransferEngine;
 
 /// The default quality ladder: every progressive itag the catalog's format
 /// table maintains, ascending by bitrate.
@@ -201,12 +200,6 @@ pub struct PlayerConfig {
     pub gamma_rounding: GammaRounding,
     /// Optional shadow ABR ladder (`None` = the paper's fixed-rate player).
     pub abr_ladder: Option<AbrLadderConfig>,
-    /// Which TCP transfer engine the session's connections run. The
-    /// default [`TransferEngine::Epoch`] solves stable-link stretches in
-    /// closed form; force [`TransferEngine::RoundLoop`] to debug a
-    /// transfer round by round (results are bit-identical either way —
-    /// see the README section "The transfer engine").
-    pub transfer_engine: TransferEngine,
 }
 
 impl Default for PlayerConfig {
@@ -228,7 +221,6 @@ impl Default for PlayerConfig {
             failures_before_switch: 1,
             gamma_rounding: GammaRounding::Exact,
             abr_ladder: None,
-            transfer_engine: TransferEngine::default(),
         }
     }
 }
@@ -278,13 +270,6 @@ impl PlayerConfig {
     /// Builder-style shadow-ABR-ladder override.
     pub fn with_abr_ladder(mut self, abr: AbrLadderConfig) -> Self {
         self.abr_ladder = Some(abr);
-        self
-    }
-
-    /// Builder-style transfer-engine override (e.g. force the per-RTT
-    /// reference loop for debugging).
-    pub fn with_transfer_engine(mut self, engine: TransferEngine) -> Self {
-        self.transfer_engine = engine;
         self
     }
 
@@ -393,17 +378,6 @@ mod tests {
             ..PlayerConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn transfer_engine_defaults_to_epoch_and_overrides() {
-        assert_eq!(
-            PlayerConfig::default().transfer_engine,
-            TransferEngine::Epoch
-        );
-        let c = PlayerConfig::msplayer().with_transfer_engine(TransferEngine::RoundLoop);
-        assert_eq!(c.transfer_engine, TransferEngine::RoundLoop);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -122,16 +122,6 @@ pub struct SessionMetrics {
     /// QoE accounting for closed-loop ABR sessions (`None` for fixed-rate
     /// and shadow sessions).
     pub abr_qoe: Option<AbrQoe>,
-    /// Stable-link transfer epochs the TCP engine engaged across every
-    /// transfer of the session (0 under the round-loop engine; drivers
-    /// fill this in — see `sim::SessionHost`).
-    pub transfer_epochs: u64,
-    /// TCP rounds the transfer engine served on its fast path (lean or
-    /// closed-form-solved) across the session.
-    pub transfer_fast_rounds: u64,
-    /// The subset of fast-path rounds collapsed by closed-form solves
-    /// (geometric slow start, CUBIC polynomial, ssthresh oscillation).
-    pub transfer_solved_rounds: u64,
 }
 
 impl SessionMetrics {

@@ -47,7 +47,7 @@ use msim_http::tls::TlsTimingModel;
 use msim_http::StatusCode;
 use msim_net::mobility::OutageSchedule;
 use msim_net::profile::PathProfile;
-use msim_net::tcp::{TcpConfig, TcpConnection, TransferOutcome, TransferStats};
+use msim_net::tcp::{TcpConfig, TcpConnection, TransferOutcome};
 use msim_net::Link;
 use msim_youtube::dns::{DnsResolver, Network};
 use msim_youtube::proxy::{parse_video_info, VideoInfo};
@@ -552,9 +552,8 @@ pub struct SessionHost {
     /// within a session): the hot loop never allocates for actions.
     actions: Vec<PlayerAction>,
     /// The event queue, owned by the host so batched sessions reuse its
-    /// calendar-bucket / heap / slab storage *and* its adapted bucket
-    /// width. [`EventQueue::reset`] between sessions restores pristine
-    /// semantics; width carry-over affects only speed, never pop order.
+    /// heap and slab storage. [`EventQueue::reset`] between sessions
+    /// restores pristine semantics.
     queue: EventQueue<Ev>,
     /// Cached per-`(network, json_done, granted ladder)` bootstrap
     /// content. Valid only when the network is idle at watch time (always
@@ -655,7 +654,7 @@ impl SessionHost {
     /// `self.run(&spec.with_seed(seeds[i]))`.
     ///
     /// Beyond one-time validation, batching keeps every session on the
-    /// host's warm storage: the event queue's calendar buckets, the
+    /// host's warm storage: the event queue's heap and slab, the
     /// bootstrap cache, and the [`SessionScratch`] per-path arenas
     /// (links, connections, path runtimes, ready times) are all reused
     /// across seeds, so consecutive sessions run over the same hot cache
@@ -752,18 +751,6 @@ impl SessionHost {
                 ],
             );
         }
-        // The session's transfer-engine selection applies to every TCP
-        // connection the driver opens (bootstrap page fetches, video
-        // connections, failover reconnects).
-        let engine = spec.player.transfer_engine;
-        let tcp_config_for = |setup: &PathSetup| -> TcpConfig {
-            TcpConfig {
-                engine,
-                ..setup.profile.tcp_config()
-            }
-        };
-        // Aggregated engine telemetry across the session's transfers.
-        let mut xfer_stats = TransferStats::default();
         // The formats the session's grant must cover: closed-loop ABR
         // sessions are granted their whole quality ladder once (they may
         // switch the streamed itag mid-session); everything else streams
@@ -854,11 +841,10 @@ impl SessionHost {
             // (footnote 1) — a real ~300 KB transfer on a fresh connection to
             // the proxy, expensive on the high-RTT path — then decipher.
             if boot.info.enciphered_sig.is_some() {
-                let mut page_conn = TcpConnection::new(tcp_config_for(setup));
+                let mut page_conn = TcpConnection::new(setup.profile.tcp_config());
                 let page_start =
                     page_conn.connect(&mut links[i], t + self.tls.eta(rtt).saturating_sub(rtt));
                 let page = page_conn.request(&mut links[i], page_start, ByteSize::kb(300));
-                xfer_stats.absorb(page.stats);
                 t = page.completed_at + SimDuration::from_millis(3);
             }
             // DNS for the chosen video server.
@@ -870,7 +856,7 @@ impl SessionHost {
             // model charges itself.
             let tls_extra = self.tls.eta(rtt).saturating_sub(rtt);
             let connect_start = dns2_done + tls_extra;
-            let mut conn = TcpConnection::new(tcp_config_for(setup));
+            let mut conn = TcpConnection::new(setup.profile.tcp_config());
             if let Some(pace) = self.service.server(server_addr).and_then(|s| s.pace()) {
                 conn = conn.with_server_pacing(pace.burst, pace.rate);
             }
@@ -881,7 +867,7 @@ impl SessionHost {
             }
             ready_times.push(ready);
             paths.push(PathRt {
-                tcp_config: tcp_config_for(setup),
+                tcp_config: setup.profile.tcp_config(),
                 resolver,
                 boot,
                 current_server: 0,
@@ -948,8 +934,8 @@ impl SessionHost {
         };
         player.reserve_event_capacity(expected_bytes);
         // Pending events stay small: at most one chunk completion or error
-        // per path, plus a tick and recovery timers. The queue's storage
-        // (and adapted bucket width) is reused across the host's sessions.
+        // per path, plus a tick and recovery timers. The queue's storage is
+        // reused across the host's sessions.
         self.queue.reset();
         self.queue.reserve(16.max(2 * n_paths));
         let queue = &mut self.queue;
@@ -1091,7 +1077,6 @@ impl SessionHost {
                             now,
                             assignment,
                             itag,
-                            &mut xfer_stats,
                             chaos.as_mut(),
                         );
                     }
@@ -1139,7 +1124,6 @@ impl SessionHost {
             if stop {
                 let mut m = player.into_metrics(now);
                 m.events = events;
-                record_transfer_stats(&mut m, xfer_stats);
                 drop(stream_span);
                 publish_session_telemetry(&m, queue.op_counts(), now, tracing);
                 return m;
@@ -1148,7 +1132,6 @@ impl SessionHost {
         let end = queue.now();
         let mut m = player.into_metrics(end);
         m.events = events;
-        record_transfer_stats(&mut m, xfer_stats);
         drop(stream_span);
         publish_session_telemetry(&m, self.queue.op_counts(), end, tracing);
         m
@@ -1156,9 +1139,9 @@ impl SessionHost {
 }
 
 /// Publishes one finished session's observability rollup: session and
-/// event-queue op counters, transfer-engine fast/solved round counters,
-/// the per-session event histogram, and (when tracing) the `session.end`
-/// trace record. Reads only finished state — provably non-perturbing.
+/// event-queue op counters, the stall counter, the per-session event
+/// histogram, and (when tracing) the `session.end` trace record. Reads
+/// only finished state — provably non-perturbing.
 fn publish_session_telemetry(
     m: &SessionMetrics,
     ops: msim_core::event::QueueOps,
@@ -1170,9 +1153,6 @@ fn publish_session_telemetry(
         telemetry::count("msp_event_pushes_total", ops.pushes);
         telemetry::count("msp_event_pops_total", ops.pops);
         telemetry::count("msp_event_cancels_total", ops.cancels);
-        telemetry::count("msp_transfer_epochs_total", m.transfer_epochs);
-        telemetry::count("msp_transfer_fast_rounds_total", m.transfer_fast_rounds);
-        telemetry::count("msp_transfer_solved_rounds_total", m.transfer_solved_rounds);
         telemetry::count("msp_stalls_total", m.stalls.len() as u64);
         telemetry::observe("msp_session_events", m.events);
     }
@@ -1183,18 +1163,9 @@ fn publish_session_telemetry(
             &[
                 ("events", TraceVal::U64(m.events)),
                 ("stalls", TraceVal::U64(m.stalls.len() as u64)),
-                ("epochs", TraceVal::U64(m.transfer_epochs)),
             ],
         );
     }
-}
-
-/// Copies the session's aggregated transfer-engine telemetry into the
-/// metrics record.
-fn record_transfer_stats(m: &mut SessionMetrics, stats: TransferStats) {
-    m.transfer_epochs = stats.epochs as u64;
-    m.transfer_fast_rounds = stats.fast_rounds as u64;
-    m.transfer_solved_rounds = stats.solved_rounds as u64;
 }
 
 /// Runs one scenario to completion and returns its metrics.
@@ -1220,7 +1191,6 @@ fn dispatch_fetch(
     now: SimTime,
     assignment: ChunkAssignment,
     itag: u32,
-    xfer_stats: &mut TransferStats,
     mut chaos: Option<&mut ChaosState>,
 ) {
     let p = assignment.path;
@@ -1304,7 +1274,6 @@ fn dispatch_fetch(
     }
     let conn = conns[p].as_mut().expect("connection established");
     let result = conn.request(&mut links[p], now, ByteSize::bytes(assignment.range.len()));
-    xfer_stats.absorb(result.stats);
     match result.outcome {
         TransferOutcome::Complete => {
             // Down-direction outage: the transfer ran on the wire (the
@@ -1586,50 +1555,6 @@ mod tests {
             .filter_map(|p| m.traffic_fraction(p, crate::metrics::TrafficPhase::PreBuffering))
             .sum();
         assert!((total - 1.0).abs() < 1e-9, "fractions sum to 1: {total}");
-    }
-
-    #[test]
-    fn transfer_engines_agree_end_to_end() {
-        use msim_net::tcp::TransferEngine;
-        // A stable link engages the epoch engine's closed-form fast path
-        // for essentially every round; the session must be bit-identical
-        // to one driven by the reference round loop (the jittered paper
-        // profiles are covered too, via the fallback path).
-        let scenarios = [
-            Scenario::testbed_single_path(
-                17,
-                PathProfile::stable(10.0, 20),
-                Network::Wifi,
-                quick_player(),
-            ),
-            Scenario::testbed_msplayer(17, quick_player()),
-        ];
-        for scenario in scenarios {
-            let epoch = run_session(&scenario);
-            let mut rl_scenario = scenario.clone();
-            rl_scenario.player = rl_scenario
-                .player
-                .with_transfer_engine(TransferEngine::RoundLoop);
-            let mut rl = run_session(&rl_scenario);
-            // Telemetry is engine-specific by design; the model is not.
-            assert_eq!(
-                rl.transfer_fast_rounds, 0,
-                "round loop reports no fast path"
-            );
-            rl.transfer_epochs = epoch.transfer_epochs;
-            rl.transfer_fast_rounds = epoch.transfer_fast_rounds;
-            rl.transfer_solved_rounds = epoch.transfer_solved_rounds;
-            assert_eq!(epoch, rl, "engines diverged end-to-end");
-        }
-        // And the stable scenario genuinely exercised the fast path.
-        let m = run_session(&Scenario::testbed_single_path(
-            17,
-            PathProfile::stable(10.0, 20),
-            Network::Wifi,
-            quick_player(),
-        ));
-        assert!(m.transfer_epochs > 0, "fast path engaged: {m:?}");
-        assert!(m.transfer_solved_rounds > 0, "closed-form solves engaged");
     }
 
     #[test]

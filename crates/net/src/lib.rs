@@ -9,9 +9,8 @@
 //! * [`tcp`] — a deterministic round-based TCP connection model with IW10
 //!   slow start, CUBIC congestion avoidance ([`cubic`]), slow-start restart
 //!   after idle, persistent-connection window reuse, and optional
-//!   server-side pacing (Trickle-style, the paper's \[12\]), executed by
-//!   an epoch-based engine that solves stable stretches in closed form
-//!   (bit-identical to the preserved per-RTT reference loop);
+//!   server-side pacing (Trickle-style, the paper's \[12\]), executed one
+//!   RTT round at a time;
 //! * [`profile`] — calibrated WiFi/LTE path recipes for the §5 emulated
 //!   testbed and the §6 production-YouTube environment;
 //! * [`mobility`] — outage schedules for the mobility/robustness scenarios;
@@ -35,6 +34,4 @@ pub use cubic::Cubic;
 pub use link::Link;
 pub use mobility::OutageSchedule;
 pub use profile::PathProfile;
-pub use tcp::{
-    TcpConfig, TcpConnection, TransferEngine, TransferOutcome, TransferResult, TransferStats,
-};
+pub use tcp::{TcpConfig, TcpConnection, TransferOutcome, TransferResult};

@@ -7,23 +7,6 @@ use msim_core::rng::{DeviateMode, DrawKind, DrawTable, Prng};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::BitRate;
 
-/// A window over which a link is *provably boring*: constant rate, constant
-/// RTT, zero per-round loss probability, no outage — and, crucially, no
-/// randomness consumed by any per-round sampling inside it. The epoch-based
-/// transfer engine ([`crate::tcp`]) collapses TCP rounds inside such
-/// windows into closed-form solves; see [`Link::stable_window`] for the
-/// exact contract.
-#[derive(Clone, Copy, Debug)]
-pub struct StableWindow {
-    /// The (effective, clamped) link rate holding over the window.
-    pub rate: BitRate,
-    /// The round-trip time holding over the window (no jitter by
-    /// definition of stability).
-    pub rtt: SimDuration,
-    /// Exclusive end of the window: the guarantee covers `[t, until)`.
-    pub until: SimTime,
-}
-
 /// One directional access link (WiFi or LTE attachment).
 ///
 /// The available-bandwidth process is sampled per TCP round; RTT jitter is
@@ -34,7 +17,6 @@ pub struct Link {
     pub name: String,
     rate_process: ProcessKind,
     base_rtt: SimDuration,
-    rtt_jitter_frac: f64,
     random_loss_per_round: f64,
     outages: Option<OutageSchedule>,
     rng: Prng,
@@ -80,7 +62,7 @@ impl Link {
     ) -> Self {
         // Jittered links fork a dedicated stream for the multiplier table
         // so loss draws stay on `rng`; jitter-free links leave `rng`
-        // untouched, preserving their (stable-path) draw sequence.
+        // untouched, preserving their draw sequence.
         let jitter = (rtt_jitter_frac > 0.0).then(|| {
             let sigma = rtt_jitter_frac;
             DrawTable::new(
@@ -96,7 +78,6 @@ impl Link {
             name: name.into(),
             rate_process: rate_process.into(),
             base_rtt,
-            rtt_jitter_frac,
             random_loss_per_round,
             outages: None,
             rng,
@@ -156,57 +137,6 @@ impl Link {
         } else {
             Some(o.next_up(t))
         }
-    }
-
-    /// Draws and returns the next raw value of the link's own RNG stream.
-    /// Test-only: differential tests use it to pin the stream *position*
-    /// (not just past draws) after a transfer ran on each engine.
-    #[doc(hidden)]
-    pub fn rng_probe(&mut self) -> u64 {
-        self.rng.next_u64()
-    }
-
-    /// Probes for a [`StableWindow`] starting at `t`.
-    ///
-    /// When this returns `Some(w)`, the link guarantees that for every
-    /// `t' ∈ [t, w.until)`:
-    ///
-    /// * [`Link::rate_at`]`(t')` returns exactly `w.rate`,
-    /// * [`Link::rtt_at`]`(t')` returns exactly `w.rtt`,
-    /// * [`Link::random_loss`]`()` returns `false`,
-    ///
-    /// **and none of those calls consumes randomness or observably mutates
-    /// state** — so a caller may skip them entirely and every later sample
-    /// on this link is bit-identical to the call-every-round execution.
-    /// This is the foundation of the TCP fast path's bit-identity claim.
-    ///
-    /// The probe itself samples the rate at `t` (exactly as a per-round
-    /// caller would), so callers must treat the probe as their sample for
-    /// time `t`. Returns `None` when the link is jittered, lossy, in an
-    /// outage, or its rate process cannot advertise a horizon.
-    pub fn stable_window(&mut self, t: SimTime) -> Option<StableWindow> {
-        if self.rtt_jitter_frac > 0.0 || self.random_loss_per_round > 0.0 {
-            return None;
-        }
-        let mut until = SimTime::MAX;
-        if let Some(o) = &self.outages {
-            if !o.is_up(t) {
-                return None;
-            }
-            if let Some(next_down) = o.next_outage_after(t) {
-                until = next_down;
-            }
-        }
-        let rate = self.rate_at(t);
-        until = until.min(self.rate_process.stable_until(t)?);
-        if until <= t {
-            return None;
-        }
-        Some(StableWindow {
-            rate,
-            rtt: self.base_rtt,
-            until,
-        })
     }
 }
 
@@ -285,47 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn stable_window_on_quiet_constant_link() {
-        let mut l = test_link(0.0);
-        let w = l.stable_window(SimTime::from_secs(1)).expect("stable");
-        assert_eq!(w.until, SimTime::MAX);
-        assert_eq!(w.rtt, SimDuration::from_millis(50));
-        assert!((w.rate.as_mbps() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jitter_or_loss_defeat_stability() {
-        let mut jittered = test_link(0.2);
-        assert!(jittered.stable_window(SimTime::ZERO).is_none());
-        let mut lossy = Link::new(
-            "lossy",
-            Constant(10.0),
-            SimDuration::from_millis(50),
-            0.0,
-            0.01,
-            Prng::new(7),
-        );
-        assert!(lossy.stable_window(SimTime::ZERO).is_none());
-    }
-
-    #[test]
-    fn outages_bound_or_defeat_stability() {
-        use crate::mobility::OutageSchedule;
-        let sched =
-            OutageSchedule::from_windows(vec![(SimTime::from_secs(10), SimTime::from_secs(20))]);
-        let mut l = test_link(0.0).with_outages(sched);
-        // Before the outage: window ends at the outage start.
-        let w = l.stable_window(SimTime::from_secs(5)).expect("up + stable");
-        assert_eq!(w.until, SimTime::from_secs(10));
-        // Inside the outage: no stability at all.
-        assert!(l.stable_window(SimTime::from_secs(15)).is_none());
-        // After: unbounded again.
-        let w = l.stable_window(SimTime::from_secs(25)).expect("up again");
-        assert_eq!(w.until, SimTime::MAX);
-    }
-
-    #[test]
-    fn stochastic_rate_process_defeats_stability() {
+    fn stochastic_rate_is_sampled_once_per_instant() {
         use msim_core::process::Ou;
         let mut l = Link::new(
             "ou",
@@ -335,11 +225,8 @@ mod tests {
             0.0,
             Prng::new(10),
         );
-        assert!(l.stable_window(SimTime::from_millis(10)).is_none());
-        // The probe's own sample counts as the sample for that instant:
-        // a subsequent rate_at at the same t must agree and not re-draw.
+        // Repeated samples at one instant agree and do not re-draw.
         let t = SimTime::from_millis(20);
-        let _ = l.stable_window(t);
         let a = l.rate_at(t);
         let b = l.rate_at(t);
         assert_eq!(a.as_bps(), b.as_bps());

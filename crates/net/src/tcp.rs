@@ -1,5 +1,4 @@
-//! Round-based TCP connection model, executed by an epoch-based transfer
-//! engine.
+//! Round-based TCP connection model.
 //!
 //! Every HTTP range request in the paper's system rides a persistent legacy
 //! TCP connection. What determines a chunk's download time is:
@@ -15,34 +14,9 @@
 //! The model simulates these per RTT "round": each round delivers
 //! `min(cwnd, BDP)` bytes, cwnd grows per slow start / CUBIC, and losses cut
 //! it. This fluid approximation is standard for transfer-time studies and is
-//! deterministic given the link's RNG streams.
-//!
-//! # The two engines
-//!
-//! Two interchangeable engines execute that model:
-//!
-//! * [`rounds`] — the reference **round loop**: one iteration per RTT,
-//!   exactly the historical implementation (the differential baseline,
-//!   like `event::fourary::FourAryQueue` is for the event queue);
-//! * [`epoch`] — the default **epoch engine**: the same model decomposed
-//!   into composable phases (request latency, slow-start ramp, CUBIC
-//!   growth, pacing, drain, idle restart, dead link) over explicit epoch
-//!   boundaries. Wherever the link advertises a [`StableWindow`] (constant
-//!   rate/RTT, zero loss probability, *zero randomness consumed per
-//!   round*), the engine solves whole runs of rounds in closed form —
-//!   geometric sums in slow start, the CUBIC window polynomial in
-//!   congestion avoidance — and replays only the state arithmetic the
-//!   round loop would have performed, in the same order, so results are
-//!   **bit-identical**: same [`TransferResult`] model fields, same RNG
-//!   stream positions, same warm-connection state.
-//!
-//! Select an engine per connection via [`TcpConfig::engine`]; differential
-//! tests in `crates/net/tests/transfer_engines.rs` pin the equivalence
-//! across randomized profiles, handoffs, idle gaps, and loss regimes.
-//!
-//! [`StableWindow`]: crate::link::StableWindow
+//! deterministic given the link's RNG streams. [`rounds`] runs it: one loop
+//! iteration per round, every link interaction performed explicitly.
 
-pub mod epoch;
 pub mod fluid;
 pub mod rounds;
 
@@ -50,17 +24,6 @@ use crate::cubic::Cubic;
 use crate::link::Link;
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::{BitRate, ByteSize};
-
-/// Which transfer engine a connection runs (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransferEngine {
-    /// The epoch-based engine with the closed-form fast path (default).
-    #[default]
-    Epoch,
-    /// The per-RTT reference loop — bit-identical, slower on stable
-    /// links; keep it at hand for debugging and differential testing.
-    RoundLoop,
-}
 
 /// Tunables for the TCP model (defaults match a Linux 3.5-era stack).
 #[derive(Clone, Debug)]
@@ -83,8 +46,6 @@ pub struct TcpConfig {
     /// Abort a transfer after the link has been dead for this long
     /// (models application-level timeout on top of TCP retransmission).
     pub dead_link_timeout: SimDuration,
-    /// Which transfer engine executes requests on this connection.
-    pub engine: TransferEngine,
 }
 
 impl Default for TcpConfig {
@@ -98,7 +59,6 @@ impl Default for TcpConfig {
             restart_cwnd_pkts: 10.0,
             rwnd_bytes: 3 * 1024 * 1024,
             dead_link_timeout: SimDuration::from_secs(4),
-            engine: TransferEngine::default(),
         }
     }
 }
@@ -110,30 +70,6 @@ pub enum TransferOutcome {
     Complete,
     /// The link stayed dead past [`TcpConfig::dead_link_timeout`].
     TimedOut,
-}
-
-/// Execution telemetry of one transfer: how the engine got the result,
-/// never *what* the result is. The model fields of [`TransferResult`] are
-/// engine-independent (differential-tested); these counters are not — the
-/// round loop always reports zeros.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransferStats {
-    /// Stable-link epochs the engine ran fast-path rounds in.
-    pub epochs: u32,
-    /// Rounds executed on the fast path (lean or closed-form-solved).
-    pub fast_rounds: u32,
-    /// The subset of `fast_rounds` skipped by a closed-form solve
-    /// (geometric slow start, CUBIC polynomial, cap-limited runs).
-    pub solved_rounds: u32,
-}
-
-impl TransferStats {
-    /// Accumulates another transfer's telemetry (saturating).
-    pub fn absorb(&mut self, other: TransferStats) {
-        self.epochs = self.epochs.saturating_add(other.epochs);
-        self.fast_rounds = self.fast_rounds.saturating_add(other.fast_rounds);
-        self.solved_rounds = self.solved_rounds.saturating_add(other.solved_rounds);
-    }
 }
 
 /// The result of simulating one request/response transfer.
@@ -153,9 +89,6 @@ pub struct TransferResult {
     pub losses: u32,
     /// How it ended.
     pub outcome: TransferOutcome,
-    /// Engine telemetry (epochs engaged, fast-path rounds). Excluded from
-    /// the bit-identity contract between engines.
-    pub stats: TransferStats,
 }
 
 impl TransferResult {
@@ -241,33 +174,14 @@ impl TcpConnection {
     /// The request consumes one upstream half-RTT; the first data packet
     /// arrives a full RTT after the request. Subsequent rounds deliver
     /// `min(cwnd, avail·RTT, rwnd, pace·RTT)` bytes each.
-    ///
-    /// Execution is delegated to the engine selected by
-    /// [`TcpConfig::engine`]; both engines produce bit-identical model
-    /// results (see the module docs).
     pub fn request(&mut self, link: &mut Link, now: SimTime, size: ByteSize) -> TransferResult {
         assert!(self.established_at.is_some(), "request() before connect()");
         debug_assert!(size.as_u64() > 0, "zero-byte request");
 
-        // Phase: slow-start restart after idle (RFC 2861) — shared by
-        // both engines, before any round runs.
+        // Slow-start restart after idle (RFC 2861), before any round runs.
         self.idle_restart_phase(now);
-
-        if msim_core::telemetry::enabled() {
-            let engine = match self.cfg.engine {
-                TransferEngine::Epoch => "epoch",
-                TransferEngine::RoundLoop => "rounds",
-            };
-            msim_core::telemetry::count_with(
-                "msp_transfer_requests_total",
-                &[("engine", engine)],
-                1,
-            );
-        }
-        match self.cfg.engine {
-            TransferEngine::Epoch => epoch::run(self, link, now, size),
-            TransferEngine::RoundLoop => rounds::run(self, link, now, size),
-        }
+        msim_core::telemetry::count("msp_transfer_requests_total", 1);
+        rounds::run(self, link, now, size)
     }
 
     /// Resets the window if the connection idled past the restart
@@ -283,20 +197,6 @@ impl TcpConnection {
         }
     }
 
-    /// A bit-exact snapshot of the warm-connection state that persists
-    /// across keep-alive requests. The engine-equivalence tests compare
-    /// these to prove that a chunk served by the fast path leaves the
-    /// connection in exactly the state the round loop would have.
-    pub fn snapshot(&self) -> ConnSnapshot {
-        ConnSnapshot {
-            cwnd_pkts: self.cwnd_pkts,
-            ssthresh_pkts: self.ssthresh_pkts,
-            total_delivered: self.total_delivered,
-            last_activity: self.last_activity,
-            cubic: self.cubic.clone(),
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &mut self,
@@ -307,7 +207,6 @@ impl TcpConnection {
         rounds: u32,
         losses: u32,
         outcome: TransferOutcome,
-        stats: TransferStats,
     ) -> TransferResult {
         self.last_activity = completed_at;
         TransferResult {
@@ -318,7 +217,6 @@ impl TcpConnection {
             rounds,
             losses,
             outcome,
-            stats,
         }
     }
 
@@ -332,23 +230,6 @@ impl TcpConnection {
             _ => link_rate,
         }
     }
-}
-
-/// Warm-connection state observable across keep-alive requests — see
-/// [`TcpConnection::snapshot`]. `PartialEq` is bit-exact (`f64` fields
-/// compare by value, the CUBIC state field-by-field).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConnSnapshot {
-    /// Congestion window, packets.
-    pub cwnd_pkts: f64,
-    /// Slow-start threshold, packets.
-    pub ssthresh_pkts: f64,
-    /// Lifetime bytes delivered (drives server pacing).
-    pub total_delivered: u64,
-    /// Completion time of the most recent activity (drives idle restart).
-    pub last_activity: SimTime,
-    /// Full CUBIC controller state.
-    pub cubic: Cubic,
 }
 
 #[cfg(test)]

@@ -1,23 +1,20 @@
-//! Flow-level (fluid) transfer approximations built on the epoch engine's
-//! closed forms.
+//! Flow-level (fluid) transfer approximations of the round model.
 //!
-//! The epoch engine ([`super::epoch`]) solves whole runs of TCP rounds in
-//! closed form — the geometric slow-start doubling, the CUBIC window
-//! polynomial — but still executes every *chunk* of a session. A fleet
-//! simulation coupling 100k+ concurrent sessions cannot afford even that:
-//! it models each session as a *fluid* that downloads at the min of its
-//! access rate and its fair share of a server's service rate, and only
-//! needs TCP for the one place the fluid picture is wrong — connection
-//! startup, where slow start keeps the flow below its steady rate for a
-//! few RTTs.
+//! The round loop ([`super::rounds`]) executes every RTT of every chunk of
+//! a session. A fleet simulation coupling 100k+ concurrent sessions cannot
+//! afford that: it models each session as a *fluid* that downloads at the
+//! min of its access rate and its fair share of a server's service rate,
+//! and only needs TCP for the one place the fluid picture is wrong —
+//! connection startup, where slow start keeps the flow below its steady
+//! rate for a few RTTs.
 //!
-//! [`startup_ramp`] reuses the doubling progression that the epoch
-//! engine's `solve_slow_start_doubling` commits round by round: doubling
-//! round `j` offers `iw · 2^(j-1)` packets, so after
-//! `r = ⌈log2(target / iw)⌉` rounds the window covers the
-//! bandwidth-delay product and the flow runs at rate. The helper returns
-//! that ramp's latency and byte deficit in closed form, which a fluid
-//! session charges once as startup overhead instead of simulating rounds.
+//! [`startup_ramp`] sums the doubling progression the round loop steps
+//! through on a loss-free link: doubling round `j` offers `iw · 2^(j-1)`
+//! packets, so after `r = ⌈log2(target / iw)⌉` rounds the window covers
+//! the bandwidth-delay product and the flow runs at rate. The helper
+//! returns that ramp's latency and byte deficit in closed form, which a
+//! fluid session charges once as startup overhead instead of simulating
+//! rounds.
 
 use msim_core::time::SimDuration;
 use msim_core::units::{BitRate, ByteSize};
@@ -41,12 +38,12 @@ pub struct FluidRamp {
 /// How long a fresh connection needs before it streams at `rate`, and how
 /// many bytes arrive while it gets there.
 ///
-/// The model is the epoch engine's slow-start geometry: the window starts
+/// The model is the round loop's slow-start geometry: the window starts
 /// at `initial_cwnd_pkts · mss` bytes and doubles once per RTT until it
 /// covers `min(BDP, rwnd)`; the handshake and the request each cost one
 /// more RTT. Doubling round `j` delivers `iw · 2^(j-1)` bytes, so the
-/// whole ramp delivers `iw · (2^r − 1)` — the same geometric sum
-/// `solve_slow_start_doubling` replays round by round.
+/// whole ramp delivers `iw · (2^r − 1)` — the geometric sum of the
+/// slow-start rounds.
 pub fn startup_ramp(cfg: &TcpConfig, rtt: SimDuration, rate: BitRate) -> FluidRamp {
     let mss = f64::from(cfg.mss);
     let iw_bytes = (cfg.initial_cwnd_pkts * mss).max(mss);

@@ -1,20 +1,13 @@
-//! The reference per-RTT round loop.
+//! The per-RTT round loop that executes every transfer.
 //!
-//! This is the historical `TcpConnection::request` body, preserved verbatim
-//! as the differential baseline for the epoch engine (the same role
-//! `event::fourary::FourAryQueue` plays for the calendar event queue): one
-//! loop iteration per TCP round, every link interaction performed
-//! explicitly. `crates/net/tests/transfer_engines.rs` pins the epoch engine
-//! against this loop bit-for-bit — model result fields, RNG stream
-//! positions, and warm-connection state — across randomized link profiles,
-//! mobility handoffs, idle-restart gaps, and loss regimes.
-//!
-//! Select it per connection with
-//! [`TransferEngine::RoundLoop`](super::TransferEngine::RoundLoop); it is
-//! also the engine of choice when single-stepping a transfer under a
-//! debugger.
+//! One loop iteration per TCP round, every link interaction performed
+//! explicitly: each round reads the link's RTT and rate, offers
+//! `min(cwnd, rwnd, remaining)` bytes, delivers what fits through one
+//! bandwidth-delay product, draws the random-loss coin, and then grows the
+//! window (slow start or CUBIC) or cuts it on overflow/loss. A dead link is
+//! waited out up to the dead-link timeout, costing a window.
 
-use super::{TcpConnection, TransferOutcome, TransferResult, TransferStats};
+use super::{TcpConnection, TransferOutcome, TransferResult};
 use crate::link::Link;
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
@@ -64,7 +57,6 @@ pub(super) fn run(
                         rounds,
                         losses,
                         TransferOutcome::TimedOut,
-                        TransferStats::default(),
                     );
                 }
                 t = up_at;
@@ -84,7 +76,6 @@ pub(super) fn run(
                 rounds,
                 losses,
                 TransferOutcome::TimedOut,
-                TransferStats::default(),
             );
         }
         dead_for = SimDuration::ZERO;
@@ -154,6 +145,5 @@ pub(super) fn run(
         rounds,
         losses,
         TransferOutcome::Complete,
-        TransferStats::default(),
     )
 }

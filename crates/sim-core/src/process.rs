@@ -30,10 +30,10 @@ pub trait Process: Send {
     /// sample unchanged. `None` when no such horizon is known.
     ///
     /// Callers must have advanced the process to `t` (via `value_at`)
-    /// before asking. This is the contract the epoch-based TCP transfer
-    /// engine uses to collapse stable stretches into closed-form solves
-    /// (see `msim_net::tcp`); conservative implementations simply return
-    /// `None` and fall back to per-sample stepping.
+    /// before asking. [`Modulated::value_at`] uses it to cache a
+    /// modulator's value until its horizon instead of re-sampling it;
+    /// conservative implementations simply return `None` and are sampled
+    /// every time.
     fn stable_until(&self, _t: SimTime) -> Option<SimTime> {
         None
     }
