@@ -10,6 +10,7 @@
 use msim_core::report::{figures_dir, BoxPanel, Table};
 use msplayer_bench::*;
 use msplayer_core::config::SchedulerKind;
+use msplayer_core::sim::{testbed_paths, ServiceSpec};
 
 fn main() {
     let prebuffer = 40.0;
@@ -18,24 +19,15 @@ fn main() {
         runs()
     );
 
+    // MSPlayer streams over both paths, the single-path players over one.
+    let (service, paths) = (ServiceSpec::testbed(), testbed_paths());
     let ms = prebuffer_times(
-        Env::Testbed,
-        Competitor::MsPlayer,
-        msplayer(SchedulerKind::Ratio, 1024),
+        &service,
+        &session(&paths, msplayer(SchedulerKind::Ratio, 1024)),
         prebuffer,
     );
-    let wifi = prebuffer_times(
-        Env::Testbed,
-        Competitor::WifiOnly,
-        commercial(1024),
-        prebuffer,
-    );
-    let lte = prebuffer_times(
-        Env::Testbed,
-        Competitor::LteOnly,
-        commercial(1024),
-        prebuffer,
-    );
+    let wifi = prebuffer_times(&service, &session(&paths[..1], commercial(1024)), prebuffer);
+    let lte = prebuffer_times(&service, &session(&paths[1..], commercial(1024)), prebuffer);
 
     let mut panel = BoxPanel::new("Download time distribution", "Download Time (sec)", 56);
     panel.add("WiFi", boxstats(&wifi));

@@ -12,6 +12,7 @@
 use msim_core::report::{figures_dir, BoxPanel, Table};
 use msplayer_bench::*;
 use msplayer_core::config::SchedulerKind;
+use msplayer_core::sim::{testbed_paths, ServiceSpec};
 
 fn main() {
     let schedulers = [
@@ -21,6 +22,7 @@ fn main() {
     ];
     let chunk_sizes_kb = [16u64, 64, 256, 1024];
     let prebuffers = [20.0, 40.0, 60.0];
+    let (service, paths) = (ServiceSpec::testbed(), testbed_paths());
 
     println!(
         "Fig. 3 — scheduler × initial-chunk × pre-buffer sweep, emulated testbed ({} runs/cell)\n",
@@ -45,8 +47,7 @@ fn main() {
         );
         for &kb in chunk_sizes_kb.iter().rev() {
             for kind in schedulers {
-                let times =
-                    prebuffer_times(Env::Testbed, Competitor::MsPlayer, msplayer(kind, kb), pb);
+                let times = prebuffer_times(&service, &session(&paths, msplayer(kind, kb)), pb);
                 let b = boxstats(&times);
                 let size_label = if kb >= 1024 {
                     format!("{}MB", kb / 1024)

@@ -11,6 +11,7 @@ use msim_core::report::{figures_dir, BoxPanel, Table};
 use msim_core::stats::median;
 use msplayer_bench::*;
 use msplayer_core::config::SchedulerKind;
+use msplayer_core::sim::{youtube_paths, ServiceSpec};
 
 fn main() {
     println!(
@@ -26,13 +27,14 @@ fn main() {
         "reduction vs best single",
     ]);
 
+    // MSPlayer streams over both paths, the single-path players over one.
+    let (service, paths) = (ServiceSpec::youtube(), youtube_paths());
     for pb in [20.0, 40.0, 60.0] {
-        let wifi = prebuffer_times(Env::Youtube, Competitor::WifiOnly, commercial(256), pb);
-        let lte = prebuffer_times(Env::Youtube, Competitor::LteOnly, commercial(256), pb);
+        let wifi = prebuffer_times(&service, &session(&paths[..1], commercial(256)), pb);
+        let lte = prebuffer_times(&service, &session(&paths[1..], commercial(256)), pb);
         let ms = prebuffer_times(
-            Env::Youtube,
-            Competitor::MsPlayer,
-            msplayer(SchedulerKind::Harmonic, 256),
+            &service,
+            &session(&paths, msplayer(SchedulerKind::Harmonic, 256)),
             pb,
         );
 

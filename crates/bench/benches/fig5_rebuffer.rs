@@ -9,7 +9,8 @@
 
 use msim_core::report::{figures_dir, BoxPanel, Table};
 use msplayer_bench::*;
-use msplayer_core::config::SchedulerKind;
+use msplayer_core::config::{PlayerConfig, SchedulerKind};
+use msplayer_core::sim::{youtube_paths, ServiceSpec};
 
 /// Refill cycles measured per session.
 const CYCLES: usize = 2;
@@ -20,6 +21,9 @@ fn main() {
         runs()
     );
     let mut table = Table::new(&["refill (s)", "player", "chunk", "median (s)", "q1", "q3"]);
+    // MSPlayer streams over both paths, the single-path players over one.
+    let (service, paths) = (ServiceSpec::youtube(), youtube_paths());
+    let (wifi, lte) = (&paths[..1], &paths[1..]);
 
     for refill in [20.0, 40.0, 60.0] {
         let mut panel = BoxPanel::new(
@@ -27,50 +31,25 @@ fn main() {
             "Download Time (sec)",
             56,
         );
-        let configs: Vec<(
-            String,
-            Competitor,
-            msplayer_core::config::PlayerConfig,
-            &str,
-        )> = vec![
+        let configs: [(&str, _, PlayerConfig, &str); 5] = [
+            ("WiFi 64 KB", wifi, commercial(64), "64 KB"),
+            ("WiFi 256 KB", wifi, commercial(256), "256 KB"),
+            ("LTE 64 KB", lte, commercial(64), "64 KB"),
+            ("LTE 256 KB", lte, commercial(256), "256 KB"),
             (
-                "WiFi 64 KB".into(),
-                Competitor::WifiOnly,
-                commercial(64),
-                "64 KB",
-            ),
-            (
-                "WiFi 256 KB".into(),
-                Competitor::WifiOnly,
-                commercial(256),
-                "256 KB",
-            ),
-            (
-                "LTE 64 KB".into(),
-                Competitor::LteOnly,
-                commercial(64),
-                "64 KB",
-            ),
-            (
-                "LTE 256 KB".into(),
-                Competitor::LteOnly,
-                commercial(256),
-                "256 KB",
-            ),
-            (
-                "MSPlayer".into(),
-                Competitor::MsPlayer,
+                "MSPlayer",
+                &paths[..],
                 msplayer(SchedulerKind::Harmonic, 256),
                 "adaptive",
             ),
         ];
-        for (label, who, cfg, chunk) in configs {
-            let times = rebuffer_times(Env::Youtube, who, cfg, refill, CYCLES);
+        for (label, paths, cfg, chunk) in configs {
+            let times = rebuffer_times(&service, &session(paths, cfg), refill, CYCLES);
             let b = boxstats(&times);
-            panel.add(&label, b);
+            panel.add(label, b);
             table.row(&[
                 &format!("{refill:.0}"),
-                &label,
+                label,
                 chunk,
                 &format!("{:.2}", b.median),
                 &format!("{:.2}", b.q1),

@@ -12,7 +12,7 @@ use msim_core::units::ByteSize;
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
 use msplayer_core::estimator::{BandwidthEstimator, Ewma, HarmonicInc};
 use msplayer_core::scheduler::{build_scheduler, SchedulerImpl};
-use msplayer_core::sim::{run_session, Scenario};
+use msplayer_core::sim::{testbed_paths, ServiceSpec, SessionHost, SessionSpec};
 
 fn bench_estimators(c: &mut Criterion) {
     c.bench_function("estimator/harmonic_inc_update", |b| {
@@ -224,7 +224,9 @@ fn bench_full_session(c: &mut Criterion) {
             let cfg = PlayerConfig::msplayer()
                 .with_scheduler(SchedulerKind::Harmonic)
                 .with_prebuffer_secs(10.0);
-            black_box(run_session(&Scenario::testbed_msplayer(seed, cfg)))
+            // A one-shot host per session: bootstrap cost included.
+            let spec = SessionSpec::new(seed, testbed_paths().into(), cfg);
+            black_box(SessionHost::new(ServiceSpec::testbed()).run(&spec))
         });
     });
 }

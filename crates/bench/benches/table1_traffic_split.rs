@@ -11,6 +11,7 @@ use msim_core::report::{figures_dir, Table};
 use msim_core::stats::Running;
 use msplayer_bench::*;
 use msplayer_core::config::SchedulerKind;
+use msplayer_core::sim::{youtube_paths, ServiceSpec};
 
 fn main() {
     println!(
@@ -18,8 +19,9 @@ fn main() {
         runs()
     );
     let mut table = Table::new(&["", "Pre-buffering", "Re-buffering"]);
+    let ms = session(&youtube_paths(), msplayer(SchedulerKind::Harmonic, 256));
     for pb in [20.0, 40.0, 60.0] {
-        let (pre, re) = wifi_fractions(pb, msplayer(SchedulerKind::Harmonic, 256), 2);
+        let (pre, re) = wifi_fractions(&ServiceSpec::youtube(), &ms, pb, 2);
         let mut pre_stats = Running::new();
         for v in &pre {
             pre_stats.push(*v);

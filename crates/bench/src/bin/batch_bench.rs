@@ -1,7 +1,6 @@
 //! `batch_bench` — measures what the `SessionHost` batch API buys on
-//! short sessions: the same cells are run once as a per-session
-//! `run_session`-style loop (a fresh host per cell, the historical
-//! behaviour) and once over shared warmed hosts (`run_serial`, the batch
+//! short sessions: the same cells are run once as a per-session loop (a
+//! fresh one-shot host per cell) and once over shared warmed hosts (`run_serial`, the batch
 //! path). Outputs are asserted bit-identical and the speedup is recorded
 //! in `BENCH_batch_api.json` (the batch run's `speedup` field is
 //! loop-wall / batch-wall).
@@ -10,10 +9,11 @@
 //! MSP_RUNS=200 cargo run --release -p msplayer-bench --bin batch_bench
 //! ```
 
+use msplayer_bench::runs;
 use msplayer_bench::sweep::{run_serial, write_bench_json, BenchReport, Cell};
-use msplayer_bench::workload::WorkloadSpec;
-use msplayer_bench::{runs, Competitor, Env};
+use msplayer_bench::workload::{PlayerKind, WorkloadSpec};
 use msplayer_core::config::SchedulerKind;
+use msplayer_core::sim::{youtube_paths, ServiceSpec};
 use std::sync::Arc;
 
 fn main() {
@@ -25,16 +25,17 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2.0);
-    let mut workload = WorkloadSpec::from_env_competitor(
-        Env::Youtube,
-        Competitor::MsPlayer,
-        vec![SchedulerKind::Harmonic],
-        vec![256],
+    let workload = Arc::new(WorkloadSpec {
+        schedulers: vec![SchedulerKind::Harmonic],
         prebuffer_secs,
-        runs(),
-    );
-    workload.name = "batch-api/youtube-short".into();
-    let workload = Arc::new(workload);
+        ..WorkloadSpec::new(
+            "batch-api/youtube-short",
+            ServiceSpec::youtube(),
+            youtube_paths().into(),
+            PlayerKind::MsPlayer,
+            runs(),
+        )
+    });
     let cells = msplayer_bench::sweep::expand_workload(&workload);
     println!(
         "batch_bench: {} short sessions ({}), loop-vs-batch on identical cells",
@@ -46,8 +47,7 @@ fn main() {
     let _ = cells.iter().map(Cell::run).count();
     let _ = run_serial(&cells);
 
-    // Per-session loop: a fresh host per cell, exactly what a
-    // `run_session` loop pays.
+    // Per-session loop: a fresh one-shot host per cell.
     let (loop_report, loop_results) = BenchReport::measure("batch_api_loop", 1, || {
         cells.iter().map(Cell::run).collect()
     });

@@ -11,7 +11,7 @@ use msim_core::time::SimDuration;
 use msim_core::units::BitRate;
 use msplayer_core::config::PlayerConfig;
 use msplayer_core::fleet::{FleetServerSpec, FleetSpec, SelectionPolicy};
-use msplayer_core::sim::Scenario;
+use msplayer_core::sim::{testbed_paths, ServiceSpec, SessionSpec};
 
 /// Seed salt separating fleet benches from the sweep/chaos families.
 const FLEET_BENCH_SALT: u64 = 0xf1ee_b00c;
@@ -96,8 +96,12 @@ pub fn frontier_specs(sessions: u64) -> Vec<FrontierCase> {
 /// testbed scenario under shared fleet load, demonstrating that both
 /// backends drive the same spec surface.
 pub fn exact_anchor_spec(sessions: u64) -> FleetSpec {
-    let base = Scenario::testbed_msplayer(BASE_SEED ^ FLEET_BENCH_SALT, PlayerConfig::msplayer());
-    let mut spec = FleetSpec::exact(base, sessions);
+    let session = SessionSpec::new(
+        BASE_SEED ^ FLEET_BENCH_SALT,
+        testbed_paths().into(),
+        PlayerConfig::msplayer(),
+    );
+    let mut spec = FleetSpec::exact(ServiceSpec::testbed(), session, sessions);
     spec.arrival_window = SimDuration::from_secs(30);
     spec.servers = vec![FleetServerSpec::uncapped().with_capacity(24); 2];
     spec

@@ -19,11 +19,9 @@ pub mod sweep;
 pub mod workload;
 
 use msim_core::stats::BoxStats;
-use msim_net::profile::PathProfile;
-use msim_youtube::dns::Network;
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
 use msplayer_core::metrics::{SessionMetrics, TrafficPhase};
-use msplayer_core::sim::{run_session, Scenario, SessionHost, StopCondition};
+use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 
 /// Number of seeded repetitions per configuration (paper: "repeat this 20
 /// times"). Override with `MSP_RUNS`.
@@ -46,106 +44,42 @@ pub fn runs() -> u64 {
 /// reproducible.
 pub const BASE_SEED: u64 = 0x4d53_506c_6179_6572; // "MSPlayer"
 
-/// Which environment a sweep runs in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Env {
-    /// §5 emulated testbed (unpaced servers, testbed link profiles).
-    Testbed,
-    /// §6 production-YouTube profile (paced servers, heavier control plane,
-    /// copyrighted video → signature decipher step).
-    Youtube,
-}
-
-impl Env {
-    /// Short name used in workload names and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Env::Testbed => "testbed",
-            Env::Youtube => "youtube",
-        }
-    }
-}
-
-/// Which competitor streams.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Competitor {
-    /// Single path over WiFi with a commercial player profile.
-    WifiOnly,
-    /// Single path over LTE with a commercial player profile.
-    LteOnly,
-    /// MSPlayer over both paths.
-    MsPlayer,
-}
-
-impl Competitor {
-    /// Figure label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Competitor::WifiOnly => "WiFi",
-            Competitor::LteOnly => "LTE",
-            Competitor::MsPlayer => "MSPlayer",
-        }
-    }
-}
-
-fn profiles_for(env: Env) -> (PathProfile, PathProfile) {
-    match env {
-        Env::Testbed => (PathProfile::wifi_testbed(), PathProfile::lte_testbed()),
-        Env::Youtube => (PathProfile::wifi_youtube(), PathProfile::lte_youtube()),
-    }
-}
-
-/// Builds the scenario for one competitor in one environment.
-pub fn scenario_for(env: Env, who: Competitor, seed: u64, player: PlayerConfig) -> Scenario {
-    let (wifi, lte) = profiles_for(env);
-    match (env, who) {
-        (Env::Testbed, Competitor::MsPlayer) => Scenario::testbed_msplayer(seed, player),
-        (Env::Testbed, Competitor::WifiOnly) => {
-            Scenario::testbed_single_path(seed, wifi, Network::Wifi, player)
-        }
-        (Env::Testbed, Competitor::LteOnly) => {
-            Scenario::testbed_single_path(seed, lte, Network::Cellular, player)
-        }
-        (Env::Youtube, Competitor::MsPlayer) => Scenario::youtube_msplayer(seed, player),
-        (Env::Youtube, Competitor::WifiOnly) => {
-            Scenario::youtube_single_path(seed, wifi, Network::Wifi, player)
-        }
-        (Env::Youtube, Competitor::LteOnly) => {
-            Scenario::youtube_single_path(seed, lte, Network::Cellular, player)
-        }
-    }
+/// A session of `player` over `paths` for the experiment helpers below,
+/// which replace its seed with their own repetition seeds. Pass a paper
+/// preset ([`testbed_paths`](msplayer_core::sim::testbed_paths) or
+/// [`youtube_paths`](msplayer_core::sim::youtube_paths)) whole for MSPlayer,
+/// or one of its two paths for a single-path player.
+pub fn session(paths: &[PathSetup], player: PlayerConfig) -> SessionSpec {
+    SessionSpec::new(0, paths.to_vec(), player)
 }
 
 /// Runs one experiment shape over `runs()` seeds on a single warmed
-/// [`SessionHost`]: derives the session spec from `scenario` with `stop`,
-/// salts the per-repetition seeds with `seed_salt`, and returns the batch
-/// metrics. Every repeated-session helper below goes through this — the
-/// batch API amortizes the control-plane bootstrap without changing any
-/// session's outcome.
+/// [`SessionHost`]: salts the per-repetition seeds with `seed_salt` and
+/// returns the batch metrics. Every repeated-session helper below goes
+/// through this — the batch API amortizes the control-plane bootstrap
+/// without changing any session's outcome.
 pub fn run_experiment(
-    scenario: &Scenario,
-    stop: StopCondition,
+    service: &ServiceSpec,
+    session: &SessionSpec,
     seed_salt: u64,
 ) -> Vec<SessionMetrics> {
-    let mut host = SessionHost::new(scenario.service_spec());
-    let spec = scenario.session_spec().with_stop(stop);
+    let mut host = SessionHost::new(service.clone());
     let seeds: Vec<u64> = (0..runs())
         .map(|run| BASE_SEED ^ seed_salt ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
-    host.run_batch(&seeds, &spec).expect("valid scenario")
+    host.run_batch(&seeds, session).expect("valid experiment")
 }
 
 /// Runs a pre-buffering experiment: download time (seconds) to accumulate
 /// `prebuffer_secs` of video, across `runs()` seeds.
 pub fn prebuffer_times(
-    env: Env,
-    who: Competitor,
-    player_base: PlayerConfig,
+    service: &ServiceSpec,
+    session: &SessionSpec,
     prebuffer_secs: f64,
 ) -> Vec<f64> {
-    let player = player_base.with_prebuffer_secs(prebuffer_secs);
-    let scenario = scenario_for(env, who, 0, player);
-    run_experiment(&scenario, StopCondition::PrebufferDone, 0)
+    let mut session = session.clone().with_stop(StopCondition::PrebufferDone);
+    session.player = session.player.with_prebuffer_secs(prebuffer_secs);
+    run_experiment(service, &session, 0)
         .iter()
         .map(|m| {
             m.prebuffer_time()
@@ -158,37 +92,46 @@ pub fn prebuffer_times(
 /// Runs a re-buffering experiment: each completed refill cycle's duration
 /// (seconds), pooled across `runs()` seeds × `cycles` cycles.
 pub fn rebuffer_times(
-    env: Env,
-    who: Competitor,
-    player_base: PlayerConfig,
+    service: &ServiceSpec,
+    session: &SessionSpec,
     refill_secs: f64,
     cycles: usize,
 ) -> Vec<f64> {
-    let player = player_base
+    let mut session = session
+        .clone()
+        .with_stop(StopCondition::AfterRefills(cycles));
+    session.player = session
+        .player
         .with_prebuffer_secs(40.0)
         .with_rebuffer_secs(refill_secs);
-    let mut scenario = scenario_for(env, who, 0, player);
     // Long enough for the requested cycles.
-    scenario.video_secs = 40.0 + (refill_secs + 60.0) * (cycles as f64 + 1.0);
-    run_experiment(&scenario, StopCondition::AfterRefills(cycles), 0xBEEF)
+    let service = service
+        .clone()
+        .with_video_secs(40.0 + (refill_secs + 60.0) * (cycles as f64 + 1.0));
+    run_experiment(&service, &session, 0xBEEF)
         .iter()
         .flat_map(|m| m.refills.iter().map(|r| r.duration().as_secs_f64()))
         .collect()
 }
 
-/// Runs the Table-1 experiment: WiFi traffic fraction (percent) per phase,
-/// one sample per seed.
+/// Runs the Table-1 experiment: the traffic fraction (percent) of path 0
+/// (WiFi in the paper presets) per phase, one sample per seed.
 pub fn wifi_fractions(
+    service: &ServiceSpec,
+    session: &SessionSpec,
     prebuffer_secs: f64,
-    player_base: PlayerConfig,
     cycles: usize,
 ) -> (Vec<f64>, Vec<f64>) {
-    let player = player_base.with_prebuffer_secs(prebuffer_secs);
-    let mut scenario = scenario_for(Env::Youtube, Competitor::MsPlayer, 0, player);
-    scenario.video_secs = prebuffer_secs + 90.0 * (cycles as f64 + 1.0);
+    let mut session = session
+        .clone()
+        .with_stop(StopCondition::AfterRefills(cycles));
+    session.player = session.player.with_prebuffer_secs(prebuffer_secs);
+    let service = service
+        .clone()
+        .with_video_secs(prebuffer_secs + 90.0 * (cycles as f64 + 1.0));
     let mut pre = Vec::new();
     let mut re = Vec::new();
-    for m in run_experiment(&scenario, StopCondition::AfterRefills(cycles), 0x7AB1) {
+    for m in run_experiment(&service, &session, 0x7AB1) {
         if let Some(f) = m.traffic_fraction(0, TrafficPhase::PreBuffering) {
             pre.push(f * 100.0);
         }
@@ -215,9 +158,4 @@ pub fn msplayer(kind: SchedulerKind, chunk_kb: u64) -> PlayerConfig {
 /// Convenience: boxplot stats of a sample.
 pub fn boxstats(samples: &[f64]) -> BoxStats {
     BoxStats::from_sample(samples)
-}
-
-/// One session's metrics for ad-hoc inspection in benches/examples.
-pub fn one_session(env: Env, who: Competitor, seed: u64, player: PlayerConfig) -> SessionMetrics {
-    run_session(&scenario_for(env, who, seed, player))
 }

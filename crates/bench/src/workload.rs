@@ -8,14 +8,14 @@
 //! server-failure storm) means *registering a spec*, not editing the
 //! engine.
 //!
-//! The closed `Env` × `Competitor` enums of the original harness survive as
-//! conveniences in the crate root; [`WorkloadSpec::from_env_competitor`]
-//! maps them onto workloads (see the README migration table).
+//! The paper's own experiments are six of these workloads: the §5 testbed
+//! and the §6 YouTube service, each crossed with MSPlayer over WiFi + LTE
+//! and the commercial single-path player over WiFi or LTE alone (see
+//! [`WorkloadRegistry::builtin`]).
 //!
 //! [`Cell`]: crate::sweep::Cell
 //! [`SessionHost`]: msplayer_core::sim::SessionHost
 
-use crate::{Competitor, Env};
 use msim_core::time::SimTime;
 use msim_core::units::ByteSize;
 use msim_net::mobility::OutageSchedule;
@@ -23,7 +23,9 @@ use msim_net::profile::PathProfile;
 use msim_youtube::dns::Network;
 use msplayer_core::chaos::ChaosPlan;
 use msplayer_core::config::{AbrLadderConfig, PlayerConfig, SchedulerKind};
-use msplayer_core::sim::{PathSetup, ServerFailure, ServiceSpec, SessionSpec, StopCondition};
+use msplayer_core::sim::{
+    testbed_paths, youtube_paths, PathSetup, ServerFailure, ServiceSpec, SessionSpec, StopCondition,
+};
 use std::sync::Arc;
 
 /// Which player family a workload's cells run.
@@ -61,8 +63,8 @@ pub struct WorkloadSpec {
     /// Seeded repetitions per (scheduler, chunk) configuration.
     pub runs: u64,
     /// Mixed into every seed so different workloads draw different
-    /// sessions; keep `0` to reproduce the historical Env×Competitor
-    /// sweeps bit-for-bit.
+    /// sessions; the paper's six workloads keep `0`, which pins their
+    /// sessions (and the frozen corpora built from them).
     pub seed_salt: u64,
     /// Optional shadow ABR ladder applied to every cell's player (`None` =
     /// the paper's fixed-rate player).
@@ -159,53 +161,34 @@ impl WorkloadSpec {
         self
     }
 
-    /// Maps one historical (env, competitor) pair onto a workload. Seeds,
-    /// player configs, and scenario shapes reproduce the closed-enum sweep
-    /// exactly (`seed_salt = 0`).
-    pub fn from_env_competitor(
-        env: Env,
-        competitor: Competitor,
-        schedulers: Vec<SchedulerKind>,
-        chunk_kb: Vec<u64>,
-        prebuffer_secs: f64,
+    /// A workload in the shape of the paper's experiments: a fault-free
+    /// session without ABR that stops when its 40 s pre-buffer is done,
+    /// 256 KB chunks, and `seed_salt = 0`. MSPlayer sweeps the three paper
+    /// schedulers; the commercial player pins `Fixed`. Other shapes
+    /// override fields with struct-update syntax.
+    pub fn new(
+        name: impl Into<String>,
+        service: ServiceSpec,
+        paths: Vec<PathSetup>,
+        player: PlayerKind,
         runs: u64,
     ) -> WorkloadSpec {
-        let (wifi, lte) = match env {
-            Env::Testbed => (PathProfile::wifi_testbed(), PathProfile::lte_testbed()),
-            Env::Youtube => (PathProfile::wifi_youtube(), PathProfile::lte_youtube()),
-        };
-        let service = match env {
-            Env::Testbed => ServiceSpec::testbed(),
-            Env::Youtube => ServiceSpec::youtube(),
-        };
-        let (paths, player, schedulers) = match competitor {
-            Competitor::MsPlayer => (
-                vec![
-                    PathSetup::new(wifi, Network::Wifi),
-                    PathSetup::new(lte, Network::Cellular),
-                ],
-                PlayerKind::MsPlayer,
-                schedulers,
-            ),
-            Competitor::WifiOnly => (
-                vec![PathSetup::new(wifi, Network::Wifi)],
-                PlayerKind::Commercial,
-                vec![SchedulerKind::Fixed],
-            ),
-            Competitor::LteOnly => (
-                vec![PathSetup::new(lte, Network::Cellular)],
-                PlayerKind::Commercial,
-                vec![SchedulerKind::Fixed],
-            ),
+        let schedulers = match player {
+            PlayerKind::MsPlayer => vec![
+                SchedulerKind::Harmonic,
+                SchedulerKind::Ewma,
+                SchedulerKind::Ratio,
+            ],
+            PlayerKind::Commercial => vec![SchedulerKind::Fixed],
         };
         WorkloadSpec {
-            name: format!("{}/{}", env.label(), competitor.label()),
+            name: name.into(),
             service,
             paths,
             player,
             schedulers,
-            chunk_kb,
-            prebuffer_secs,
+            chunk_kb: vec![256],
+            prebuffer_secs: 40.0,
             stop: StopCondition::PrebufferDone,
             server_failures: Vec::new(),
             runs,
@@ -216,56 +199,35 @@ impl WorkloadSpec {
     }
 
     /// Three-path WiFi + LTE + ethernet testbed workload — the first
-    /// scenario the closed enums could not express.
+    /// scenario the paper's two-path grid could not express.
     pub fn three_path_testbed(runs: u64) -> WorkloadSpec {
+        let mut paths = Vec::from(testbed_paths());
+        paths.push(PathSetup::new(
+            PathProfile::ethernet_testbed(),
+            Network::Ethernet,
+        ));
         WorkloadSpec {
-            name: "testbed3/MSPlayer".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-                PathSetup::new(PathProfile::ethernet_testbed(), Network::Ethernet),
-            ],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
-            chunk_kb: vec![256],
             prebuffer_secs: 10.0,
-            stop: StopCondition::PrebufferDone,
-            server_failures: Vec::new(),
-            runs,
             seed_salt: 0x3_9A7_0E7,
-            abr: None,
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("testbed3/MSPlayer", paths, runs)
         }
     }
 
     /// Mobility-outage storm: the WiFi path drops out repeatedly while the
     /// session streams through its first refill cycle.
     pub fn mobility_storm(runs: u64) -> WorkloadSpec {
-        let outages = OutageSchedule::from_windows(vec![
+        let [mut wifi, lte] = testbed_paths();
+        wifi.outages = Some(OutageSchedule::from_windows(vec![
             (SimTime::from_secs(3), SimTime::from_secs(8)),
             (SimTime::from_secs(15), SimTime::from_secs(19)),
             (SimTime::from_secs(28), SimTime::from_secs(33)),
-        ]);
-        let mut wifi = PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi);
-        wifi.outages = Some(outages);
+        ]));
         WorkloadSpec {
-            name: "storm/mobility".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![
-                wifi,
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
-            chunk_kb: vec![256],
             prebuffer_secs: 20.0,
-            stop: StopCondition::PrebufferDone,
-            server_failures: Vec::new(),
-            runs,
             seed_salt: 0x0B_1EE7,
-            abr: None,
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("storm/mobility", vec![wifi, lte], runs)
         }
     }
 
@@ -273,17 +235,8 @@ impl WorkloadSpec {
     /// overlapping windows early in the session.
     pub fn server_failure_storm(runs: u64) -> WorkloadSpec {
         WorkloadSpec {
-            name: "storm/server-failure".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
-            chunk_kb: vec![256],
             prebuffer_secs: 15.0,
-            stop: StopCondition::PrebufferDone,
             server_failures: vec![
                 ServerFailure {
                     path: 0,
@@ -296,44 +249,33 @@ impl WorkloadSpec {
                     until: SimTime::from_secs(25),
                 },
             ],
-            runs,
             seed_salt: 0x5707_4A11,
-            abr: None,
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("storm/server-failure", testbed_paths().into(), runs)
         }
     }
-}
 
-impl WorkloadSpec {
     /// Four-path asymmetric-replica grid: WiFi + LTE + ethernet + a
     /// second, slower cellular modem that shares the **same** cellular
     /// network (and therefore the same replica fleet) as the LTE path.
     /// Two paths competing for one network's servers is the asymmetry the
-    /// closed enums could never express; the grid sweeps two schedulers ×
-    /// two chunk sizes over it.
+    /// paper's two-path grid could never express; the grid sweeps two
+    /// schedulers × two chunk sizes over it.
     pub fn four_path_asymmetric_grid(runs: u64) -> WorkloadSpec {
+        let mut paths = Vec::from(testbed_paths());
+        paths.push(PathSetup::new(
+            PathProfile::ethernet_testbed(),
+            Network::Ethernet,
+        ));
+        paths.push(PathSetup::new(
+            PathProfile::lte_youtube().scaled_to(msim_core::units::BitRate::mbps(4.2)),
+            Network::Cellular,
+        ));
         WorkloadSpec {
-            name: "grid/4path-asym".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-                PathSetup::new(PathProfile::ethernet_testbed(), Network::Ethernet),
-                PathSetup::new(
-                    PathProfile::lte_youtube().scaled_to(msim_core::units::BitRate::mbps(4.2)),
-                    Network::Cellular,
-                ),
-            ],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
             chunk_kb: vec![256, 1024],
             prebuffer_secs: 10.0,
-            stop: StopCondition::PrebufferDone,
-            server_failures: Vec::new(),
-            runs,
             seed_salt: 0x4A57_4247,
-            abr: None,
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("grid/4path-asym", paths, runs)
         }
     }
 
@@ -345,26 +287,16 @@ impl WorkloadSpec {
     /// bypass its `(network, json_done)` cache to preserve exact
     /// load-aware server ordering.
     pub fn dual_wifi_same_network(runs: u64) -> WorkloadSpec {
+        let [wifi, _] = testbed_paths();
+        let second = PathSetup::new(
+            PathProfile::wifi_testbed().scaled_to(msim_core::units::BitRate::mbps(6.3)),
+            Network::Wifi,
+        );
         WorkloadSpec {
-            name: "wifi/dual-same-network".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(
-                    PathProfile::wifi_testbed().scaled_to(msim_core::units::BitRate::mbps(6.3)),
-                    Network::Wifi,
-                ),
-            ],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
-            chunk_kb: vec![256],
             prebuffer_secs: 10.0,
-            stop: StopCondition::PrebufferDone,
-            server_failures: Vec::new(),
-            runs,
             seed_salt: 0xD0A1_F1F1,
-            abr: None,
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("wifi/dual-same-network", vec![wifi, second], runs)
         }
     }
 
@@ -376,22 +308,13 @@ impl WorkloadSpec {
     /// shadow-only `abr/ladder` workload could never produce.
     pub fn abr_closed_loop_grid(runs: u64) -> WorkloadSpec {
         WorkloadSpec {
-            name: "abr/closed-loop".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
             chunk_kb: vec![256, 1024],
             prebuffer_secs: 15.0,
             stop: StopCondition::AfterRefills(2),
-            server_failures: Vec::new(),
-            runs,
             seed_salt: 0xC105_ED10,
             abr: Some(AbrLadderConfig::closed_loop()),
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("abr/closed-loop", testbed_paths().into(), runs)
         }
     }
 
@@ -402,31 +325,21 @@ impl WorkloadSpec {
     /// doubles the aggregate estimate — adaptation and multi-path
     /// scheduling interacting, not just coexisting.
     pub fn abr_mobility_handoff(runs: u64) -> WorkloadSpec {
-        let mut wifi = PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi);
+        let [mut wifi, lte] = testbed_paths();
         wifi.outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_millis(200),
             SimTime::from_secs(12),
         )]));
         WorkloadSpec {
-            name: "abr/mobility-handoff".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![
-                wifi,
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
-            chunk_kb: vec![256],
             prebuffer_secs: 15.0,
             stop: StopCondition::AfterRefills(2),
-            server_failures: Vec::new(),
-            runs,
             seed_salt: 0x4A2D_0FF5,
             abr: Some(
                 AbrLadderConfig::closed_loop()
                     .with_policy(msplayer_core::abr::AbrPolicyKind::Hybrid),
             ),
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("abr/mobility-handoff", vec![wifi, lte], runs)
         }
     }
 
@@ -436,30 +349,21 @@ impl WorkloadSpec {
     /// back, and finally both run together — one session crossing three
     /// connectivity regimes.
     pub fn mobility_mixed_trace(runs: u64) -> WorkloadSpec {
-        let mut wifi = PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi);
+        let [mut wifi, mut lte] = testbed_paths();
         wifi.outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_secs(8),
             SimTime::from_secs(25),
         )]));
-        let mut lte = PathSetup::new(PathProfile::lte_testbed(), Network::Cellular);
         lte.outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_millis(300),
             SimTime::from_secs(8),
         )]));
         WorkloadSpec {
-            name: "mobility/mixed-trace".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![wifi, lte],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
-            chunk_kb: vec![256],
             prebuffer_secs: 20.0,
             stop: StopCondition::AfterRefills(1),
-            server_failures: Vec::new(),
-            runs,
             seed_salt: 0x3177_ACE5,
-            abr: None,
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("mobility/mixed-trace", vec![wifi, lte], runs)
         }
     }
 
@@ -472,23 +376,25 @@ impl WorkloadSpec {
     /// queue's near-horizon timers.
     pub fn abr_ladder(runs: u64) -> WorkloadSpec {
         WorkloadSpec {
-            name: "abr/ladder".into(),
-            service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
-            player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
-            chunk_kb: vec![256],
             prebuffer_secs: 15.0,
             stop: StopCondition::AfterRefills(2),
-            server_failures: Vec::new(),
-            runs,
             seed_salt: 0xAB_12AD,
             abr: Some(AbrLadderConfig::default()),
-            chaos: None,
+            ..WorkloadSpec::testbed_msplayer("abr/ladder", testbed_paths().into(), runs)
         }
+    }
+
+    /// MSPlayer on the testbed service over `paths`, in the paper's shape
+    /// (see [`WorkloadSpec::new`]).
+    fn testbed_msplayer(name: &str, paths: Vec<PathSetup>, runs: u64) -> WorkloadSpec {
+        WorkloadSpec::new(
+            name,
+            ServiceSpec::testbed(),
+            paths,
+            PlayerKind::MsPlayer,
+            runs,
+        )
     }
 }
 
@@ -505,29 +411,27 @@ impl WorkloadRegistry {
         WorkloadRegistry::default()
     }
 
-    /// The built-in catalogue: every historical Env×Competitor pair plus
-    /// the N-path scenarios, `runs` seeds each.
+    /// The built-in catalogue: the paper's six workloads plus the N-path
+    /// scenarios, `runs` seeds each. The six are `<service>/<player>` for
+    /// the testbed and YouTube services and the MSPlayer (WiFi + LTE),
+    /// WiFi-only and LTE-only players, in that order.
     pub fn builtin(runs: u64) -> WorkloadRegistry {
         let mut reg = WorkloadRegistry::new();
-        let paper_schedulers = vec![
-            SchedulerKind::Harmonic,
-            SchedulerKind::Ewma,
-            SchedulerKind::Ratio,
-        ];
-        for env in [Env::Testbed, Env::Youtube] {
-            for competitor in [
-                Competitor::MsPlayer,
-                Competitor::WifiOnly,
-                Competitor::LteOnly,
+        for (env, service, [wifi, lte]) in [
+            ("testbed", ServiceSpec::testbed(), testbed_paths()),
+            ("youtube", ServiceSpec::youtube(), youtube_paths()),
+        ] {
+            for (player, paths, kind) in [
+                (
+                    "MSPlayer",
+                    vec![wifi.clone(), lte.clone()],
+                    PlayerKind::MsPlayer,
+                ),
+                ("WiFi", vec![wifi], PlayerKind::Commercial),
+                ("LTE", vec![lte], PlayerKind::Commercial),
             ] {
-                reg.register(WorkloadSpec::from_env_competitor(
-                    env,
-                    competitor,
-                    paper_schedulers.clone(),
-                    vec![256],
-                    40.0,
-                    runs,
-                ));
+                let name = format!("{env}/{player}");
+                reg.register(WorkloadSpec::new(name, service.clone(), paths, kind, runs));
             }
         }
         reg.register(WorkloadSpec::three_path_testbed(runs));
@@ -626,7 +530,7 @@ mod tests {
     #[test]
     fn builtin_covers_enums_and_n_path() {
         let reg = WorkloadRegistry::builtin(2);
-        // 2 envs × 3 competitors + 9 new scenarios.
+        // 2 services × 3 paper players + 9 N-path scenarios.
         assert_eq!(reg.specs().len(), 15);
         assert!(reg.by_name("abr/closed-loop").is_some());
         assert!(reg.by_name("abr/mobility-handoff").is_some());
@@ -796,33 +700,32 @@ mod tests {
 
     #[test]
     fn env_competitor_mapping_preserves_seeds() {
-        let w = WorkloadSpec::from_env_competitor(
-            Env::Testbed,
-            Competitor::MsPlayer,
-            vec![SchedulerKind::Harmonic],
-            vec![256],
-            10.0,
-            3,
-        );
-        for run in 0..3u64 {
-            let expected = crate::BASE_SEED ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            assert_eq!(w.seed(run), expected);
+        // The paper workloads keep `seed_salt = 0`: their seeds are the
+        // bare repetition seeds the frozen corpora were recorded with.
+        let reg = WorkloadRegistry::builtin(3);
+        for w in &reg.specs()[..6] {
+            assert_eq!(w.seed_salt, 0, "{}", w.name);
+            for run in 0..3u64 {
+                let expected = crate::BASE_SEED ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                assert_eq!(w.seed(run), expected, "{}", w.name);
+            }
         }
     }
 
     #[test]
     fn single_path_competitors_pin_fixed_scheduler() {
-        let w = WorkloadSpec::from_env_competitor(
-            Env::Youtube,
-            Competitor::WifiOnly,
-            vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
-            vec![64],
-            10.0,
-            1,
-        );
-        assert_eq!(w.schedulers, vec![SchedulerKind::Fixed]);
-        assert_eq!(w.paths.len(), 1);
-        assert_eq!(w.player, PlayerKind::Commercial);
+        let reg = WorkloadRegistry::builtin(1);
+        for name in ["testbed/WiFi", "testbed/LTE", "youtube/WiFi", "youtube/LTE"] {
+            let w = reg.by_name(name).unwrap();
+            assert_eq!(w.schedulers, vec![SchedulerKind::Fixed], "{name}");
+            assert_eq!(w.paths.len(), 1, "{name}");
+            assert_eq!(w.player, PlayerKind::Commercial, "{name}");
+        }
+        let ms = reg.by_name("youtube/MSPlayer").unwrap();
+        assert_eq!(ms.schedulers.len(), 3);
+        assert_eq!(ms.paths.len(), 2);
+        assert_eq!(ms.paths[0].network, Network::Wifi);
+        assert_eq!(ms.paths[1].network, Network::Cellular);
     }
 
     #[test]

@@ -290,7 +290,15 @@ impl PlayerConfig {
         if !(0.0..1.0).contains(&self.alpha) {
             return Err("alpha must be in [0, 1)".into());
         }
-        if self.prebuffer_secs <= 0.0 || self.low_watermark_secs < 0.0 || self.rebuffer_secs <= 0.0
+        let thresholds = [
+            self.prebuffer_secs,
+            self.low_watermark_secs,
+            self.rebuffer_secs,
+        ];
+        if thresholds.iter().any(|t| !t.is_finite())
+            || self.prebuffer_secs <= 0.0
+            || self.low_watermark_secs < 0.0
+            || self.rebuffer_secs <= 0.0
         {
             return Err("buffer thresholds must be positive".into());
         }
@@ -378,6 +386,26 @@ mod tests {
             ..PlayerConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_buffer_thresholds() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for c in [
+                PlayerConfig::default().with_prebuffer_secs(bad),
+                PlayerConfig {
+                    low_watermark_secs: bad,
+                    ..PlayerConfig::default()
+                },
+                PlayerConfig::default().with_rebuffer_secs(bad),
+            ] {
+                assert_eq!(
+                    c.validate(),
+                    Err("buffer thresholds must be positive".to_string()),
+                    "{bad}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::chaos::ChaosPlan;
 use crate::config::PlayerConfig;
 use crate::metrics::{qoe_score, SessionMetrics};
-use crate::sim::Scenario;
+use crate::sim::{ServiceSpec, SessionSpec};
 use msim_core::event::EventQueue;
 use msim_core::rng::Prng;
 use msim_core::time::{SimDuration, SimTime};
@@ -264,10 +264,10 @@ pub struct FleetSpec {
     pub workers: usize,
     /// Width of one per-server utilization-timeline bucket.
     pub util_bucket: SimDuration,
-    /// Exact mode's base scenario: paths, service topology, player, stop
-    /// condition. Each session runs this scenario under its own seed and
-    /// the fleet-injected load.
-    pub exact_base: Option<Scenario>,
+    /// Exact mode's base: the service every session runs against, and the
+    /// session (paths, player, stop condition) each one runs under its
+    /// own seed and the fleet-injected load.
+    pub exact_base: Option<(ServiceSpec, SessionSpec)>,
 }
 
 impl FleetSpec {
@@ -310,26 +310,27 @@ impl FleetSpec {
         }
     }
 
-    /// An exact-mode fleet over `base`: every session is a full
-    /// [`SessionHost`](crate::sim::SessionHost) run of `base` (fresh
-    /// seed per session) under the fleet's shared load.
-    pub fn exact(base: Scenario, sessions: u64) -> FleetSpec {
+    /// An exact-mode fleet: every session is a full
+    /// [`SessionHost`](crate::sim::SessionHost) run of `session` over
+    /// `service` (fresh seed per session, the fleet seed is `session`'s)
+    /// under the fleet's shared load.
+    pub fn exact(service: ServiceSpec, session: SessionSpec, sessions: u64) -> FleetSpec {
         FleetSpec {
-            seed: base.seed,
+            seed: session.seed,
             mode: FleetMode::Exact,
             policy: SelectionPolicy::LoadBalanced,
             servers: Vec::new(),
             sessions,
             arrival_window: SimDuration::from_secs(60),
-            video_secs: base.video_secs,
-            itag: base.itag,
-            player: base.player.clone(),
+            video_secs: service.video_secs,
+            itag: service.itag,
+            player: session.player.clone(),
             access: Vec::new(),
             rtt: SimDuration::from_millis(40),
             chaos: None,
             workers: 0,
             util_bucket: SimDuration::from_secs(10),
-            exact_base: Some(base),
+            exact_base: Some((service, session)),
         }
     }
 
@@ -620,8 +621,8 @@ pub struct FleetHost {
 impl FleetHost {
     /// Validates `spec` and builds the host. Fluid mode requires a
     /// non-empty capacitated fleet, a known itag, and a non-empty access
-    /// mix; exact mode requires a base scenario, load-balanced selection
-    /// (the emulated service's own load-aware ordering does the
+    /// mix; exact mode requires a base service and session, load-balanced
+    /// selection (the emulated service's own load-aware ordering does the
     /// choosing), and at most `servers_per_network` replica specs.
     pub fn new(spec: FleetSpec) -> Result<FleetHost, String> {
         if spec.sessions == 0 {
@@ -634,7 +635,11 @@ impl FleetHost {
             return Err("util_bucket must be positive".into());
         }
         if let Some(plan) = &spec.chaos {
-            let n_paths = spec.exact_base.as_ref().map(|b| b.paths.len()).unwrap_or(1);
+            let n_paths = spec
+                .exact_base
+                .as_ref()
+                .map(|(_, session)| session.paths.len())
+                .unwrap_or(1);
             plan.validate(n_paths).map_err(|e| format!("chaos: {e}"))?;
         }
         match spec.mode {
@@ -668,10 +673,10 @@ impl FleetHost {
                 spec.player.validate().map_err(|e| format!("player: {e}"))?;
             }
             FleetMode::Exact => {
-                let base = spec
+                let (service, session) = spec
                     .exact_base
                     .as_ref()
-                    .ok_or("exact mode needs an exact_base scenario")?;
+                    .ok_or("exact mode needs an exact_base service and session")?;
                 if spec.policy != SelectionPolicy::LoadBalanced {
                     return Err(format!(
                         "exact mode supports only the load-balanced policy (the \
@@ -680,17 +685,15 @@ impl FleetHost {
                         spec.policy.name()
                     ));
                 }
-                if spec.servers.len() > base.service.servers_per_network as usize {
+                if spec.servers.len() > service.service.servers_per_network as usize {
                     return Err(format!(
                         "exact mode takes at most servers_per_network={} replica \
                          specs, got {}",
-                        base.service.servers_per_network,
+                        service.service.servers_per_network,
                         spec.servers.len()
                     ));
                 }
-                base.session_spec()
-                    .validate()
-                    .map_err(|e| format!("exact_base: {e}"))?;
+                session.validate().map_err(|e| format!("exact_base: {e}"))?;
             }
         }
         Ok(FleetHost { spec })
@@ -1437,27 +1440,27 @@ fn spread_bytes(buckets: &mut Vec<f64>, bytes: f64, t0_us: u64, t1_us: u64, buck
 }
 
 fn run_exact(spec: &FleetSpec) -> FleetMetrics {
-    let base = spec.exact_base.as_ref().expect("validated at construction");
-    let bitrate = by_itag(base.itag)
+    let (service, session) = spec.exact_base.as_ref().expect("validated at construction");
+    let bitrate = by_itag(service.itag)
         .map(|f| f.bitrate)
         .unwrap_or(BitRate::bps(0.0));
-    let mut host = crate::sim::SessionHost::new(base.service_spec());
+    let mut host = crate::sim::SessionHost::new(service.clone());
     let chaos = spec
         .chaos
         .as_ref()
-        .map(|p| p.resolve(spec.seed, base.paths.len()));
+        .map(|p| p.resolve(spec.seed, session.paths.len()));
     let mut networks: Vec<Network> = Vec::new();
-    for p in &base.paths {
+    for p in &session.paths {
         if !networks.contains(&p.network) {
             networks.push(p.network);
         }
     }
-    let net_of: Vec<usize> = base
+    let net_of: Vec<usize> = session
         .paths
         .iter()
         .map(|p| networks.iter().position(|n| *n == p.network).unwrap())
         .collect();
-    let n_rep = base.service.servers_per_network as usize;
+    let n_rep = service.service.servers_per_network as usize;
     let n_servers = networks.len() * n_rep;
     let mut counts: Vec<Vec<u32>> = vec![vec![0; n_rep]; networks.len()];
     let mut peaks: Vec<Vec<u32>> = vec![vec![0; n_rep]; networks.len()];
@@ -1480,7 +1483,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
     let mut peak_concurrent = 0u64;
     let mut events = 0u64;
     let mut end_max = SimTime::ZERO;
-    let video_bps = by_itag(base.itag)
+    let video_bps = by_itag(service.itag)
         .map(|f| f.bitrate.as_bps())
         .unwrap_or(0.0);
     for &i in &order {
@@ -1574,8 +1577,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
                 });
             }
         }
-        let mut ss = base.session_spec();
-        ss.seed = attrs[i].seed;
+        let ss = session.clone().with_seed(attrs[i].seed);
         let metrics = host
             .run_with_load(&ss, &load)
             .expect("base spec validated at construction");
@@ -1587,7 +1589,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
         let end_us = end.as_micros();
         heap.push(Reverse((end_us, i as u32)));
         end_max = end_max.max(end);
-        let mut path_bytes = vec![0u64; base.paths.len()];
+        let mut path_bytes = vec![0u64; session.paths.len()];
         for c in &metrics.chunks {
             if c.path < path_bytes.len() {
                 path_bytes[c.path] += c.bytes;
@@ -1689,6 +1691,15 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
 mod tests {
     use super::*;
 
+    /// The paper player over the testbed's WiFi + LTE paths.
+    fn testbed(seed: u64) -> SessionSpec {
+        SessionSpec::new(
+            seed,
+            crate::sim::testbed_paths().into(),
+            PlayerConfig::msplayer(),
+        )
+    }
+
     #[test]
     fn pareto_frontier_keeps_min_cost_max_qoe() {
         let points = [(1.0, 5.0), (2.0, 4.0), (3.0, 6.0), (1.0, 4.0)];
@@ -1766,16 +1777,14 @@ mod tests {
         let mut no_rate = FleetSpec::fluid(1, 10);
         no_rate.servers = vec![FleetServerSpec::uncapped()];
         assert!(FleetHost::new(no_rate).is_err());
-        let base = Scenario::testbed_msplayer(1, PlayerConfig::msplayer());
-        let mut wrong_policy = FleetSpec::exact(base, 2);
+        let mut wrong_policy = FleetSpec::exact(ServiceSpec::testbed(), testbed(1), 2);
         wrong_policy.policy = SelectionPolicy::QoeFirst;
         assert!(FleetHost::new(wrong_policy).is_err());
     }
 
     #[test]
     fn exact_mode_runs_deterministically() {
-        let base = Scenario::testbed_msplayer(42, PlayerConfig::msplayer());
-        let mut spec = FleetSpec::exact(base, 3);
+        let mut spec = FleetSpec::exact(ServiceSpec::testbed(), testbed(42), 3);
         spec.arrival_window = SimDuration::from_secs(10);
         let a = FleetHost::new(spec.clone()).unwrap().run();
         let b = FleetHost::new(spec).unwrap().run();

@@ -17,7 +17,7 @@
 //!   and the real-socket testbed;
 //! * [`sim`] — the deterministic session driver behind every figure:
 //!   [`sim::SessionHost`] runs batches of N-path sessions over one warmed
-//!   service; [`sim::run_session`] is the single-shot compatibility shim;
+//!   [`sim::ServiceSpec`];
 //! * [`metrics`] — startup delay, refills, stalls, per-path traffic splits
 //!   (Table 1);
 //! * [`chaos`] — composable seed-deterministic fault injectors
@@ -29,10 +29,13 @@
 //!
 //! ```
 //! use msplayer_core::config::PlayerConfig;
-//! use msplayer_core::sim::{run_session, Scenario};
+//! use msplayer_core::sim::{testbed_paths, ServiceSpec, SessionHost, SessionSpec};
 //!
+//! // MSPlayer over the testbed's WiFi + LTE paths.
 //! let cfg = PlayerConfig::msplayer().with_prebuffer_secs(10.0);
-//! let metrics = run_session(&Scenario::testbed_msplayer(42, cfg));
+//! let session = SessionSpec::new(42, testbed_paths().into(), cfg);
+//! let mut host = SessionHost::new(ServiceSpec::testbed());
+//! let metrics = host.run(&session).expect("valid session");
 //! println!("pre-buffer download time: {}", metrics.prebuffer_time().unwrap());
 //! ```
 
@@ -74,6 +77,6 @@ pub use scheduler::{
     NUM_PATHS,
 };
 pub use sim::{
-    run_session, PathSetup, Scenario, ServerFailure, ServiceSpec, SessionHost, SessionSpec,
+    testbed_paths, youtube_paths, PathSetup, ServerFailure, ServiceSpec, SessionHost, SessionSpec,
     SessionSpecError, StopCondition,
 };

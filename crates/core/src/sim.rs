@@ -17,7 +17,7 @@
 //! any number of sessions over the warmed service via [`SessionHost::run`]
 //! and [`SessionHost::run_batch`], resetting only the cheap per-session
 //! server state in between. A batch over N seeds is bit-identical to N
-//! independent [`run_session`] calls (asserted by
+//! sessions on N fresh one-shot hosts (asserted by
 //! `crates/bench/tests/batch_api.rs` and the in-crate
 //! `host_batch_matches_individual_runs` test) —
 //! the only thing amortized is the control-plane construction, never
@@ -29,9 +29,10 @@
 //! failure injection, bad player config) surface as [`SessionSpecError`]
 //! instead of panics.
 //!
-//! [`run_session`] remains as a thin compatibility shim: it builds a
-//! one-shot host from a [`Scenario`] and runs it. Every figure in the paper
-//! is still regenerated through it.
+//! The paper's two environments are [`ServiceSpec::testbed`] (§5) and
+//! [`ServiceSpec::youtube`] (§6); their WiFi + LTE path pairs are
+//! [`testbed_paths`] and [`youtube_paths`]. Every figure runs one of them:
+//! MSPlayer over both paths, or a single-path player over one.
 
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::chunk::ChunkAssignment;
@@ -58,7 +59,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-/// One path of a scenario.
+/// One path of a session.
 #[derive(Clone)]
 pub struct PathSetup {
     /// Link recipe.
@@ -217,6 +218,24 @@ impl ServiceSpec {
     }
 }
 
+/// The §5 testbed's WiFi + LTE paths, in scheduler index order (WiFi
+/// first). The single-path players of the paper's figures use one of the
+/// two.
+pub fn testbed_paths() -> [PathSetup; 2] {
+    [
+        PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
+        PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
+    ]
+}
+
+/// The §6 YouTube measurement's WiFi + LTE paths (WiFi first).
+pub fn youtube_paths() -> [PathSetup; 2] {
+    [
+        PathSetup::new(PathProfile::wifi_youtube(), Network::Wifi),
+        PathSetup::new(PathProfile::lte_youtube(), Network::Cellular),
+    ]
+}
+
 /// One client session to run against a [`SessionHost`]: seed, paths,
 /// player, stop condition, and failure injections.
 #[derive(Clone)]
@@ -304,142 +323,6 @@ impl SessionSpec {
             .validate()
             .map_err(SessionSpecError::InvalidPlayer)?;
         Ok(())
-    }
-}
-
-/// A complete experiment description (the original single-shot API).
-///
-/// A `Scenario` bundles a [`ServiceSpec`] and a [`SessionSpec`] into one
-/// value; [`run_session`] splits it and runs it over a one-shot
-/// [`SessionHost`]. Code that runs many sessions should build the host
-/// once and use [`SessionHost::run_batch`] instead.
-#[derive(Clone)]
-pub struct Scenario {
-    /// Master seed; every stochastic component forks from it.
-    pub seed: u64,
-    /// The session's paths (index 0 is WiFi by convention).
-    pub paths: Vec<PathSetup>,
-    /// Service topology (replicas per network, pacing).
-    pub service: ServiceConfig,
-    /// Video length in seconds.
-    pub video_secs: f64,
-    /// Whether the video requires the signature-decipher bootstrap step.
-    pub copyrighted: bool,
-    /// Video format (itag 22 = the paper's HD 720p).
-    pub itag: u32,
-    /// Player configuration.
-    pub player: PlayerConfig,
-    /// Stop condition.
-    pub stop: StopCondition,
-    /// Optional server-failure injection.
-    pub server_failure: Option<ServerFailure>,
-}
-
-impl Scenario {
-    /// The §5 emulated-testbed MSPlayer scenario: WiFi + LTE, two replicas
-    /// per network, no pacing, 10-minute 720p video.
-    pub fn testbed_msplayer(seed: u64, player: PlayerConfig) -> Scenario {
-        Scenario {
-            seed,
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
-            service: ServiceConfig::default(),
-            video_secs: 600.0,
-            copyrighted: false,
-            itag: 22,
-            player,
-            stop: StopCondition::PrebufferDone,
-            server_failure: None,
-        }
-    }
-
-    /// A three-path testbed scenario: WiFi + LTE + wired ethernet, each in
-    /// its own network (full source diversity).
-    pub fn testbed_three_path(seed: u64, player: PlayerConfig) -> Scenario {
-        Scenario {
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-                PathSetup::new(PathProfile::ethernet_testbed(), Network::Ethernet),
-            ],
-            ..Scenario::testbed_msplayer(seed, player)
-        }
-    }
-
-    /// A single-path testbed scenario over the given profile/network.
-    pub fn testbed_single_path(
-        seed: u64,
-        profile: PathProfile,
-        network: Network,
-        player: PlayerConfig,
-    ) -> Scenario {
-        Scenario {
-            seed,
-            paths: vec![PathSetup::new(profile, network)],
-            service: ServiceConfig::default(),
-            video_secs: 600.0,
-            copyrighted: false,
-            itag: 22,
-            player,
-            stop: StopCondition::PrebufferDone,
-            server_failure: None,
-        }
-    }
-
-    /// The §6 YouTube-service scenario (heavier control plane, paced
-    /// servers, copyrighted video → signature decipher step).
-    pub fn youtube_msplayer(seed: u64, player: PlayerConfig) -> Scenario {
-        Scenario {
-            seed,
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_youtube(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_youtube(), Network::Cellular),
-            ],
-            service: youtube_service_config(),
-            video_secs: 600.0,
-            copyrighted: true,
-            itag: 22,
-            player,
-            stop: StopCondition::PrebufferDone,
-            server_failure: None,
-        }
-    }
-
-    /// Single-path variant of [`Scenario::youtube_msplayer`].
-    pub fn youtube_single_path(
-        seed: u64,
-        profile: PathProfile,
-        network: Network,
-        player: PlayerConfig,
-    ) -> Scenario {
-        Scenario {
-            paths: vec![PathSetup::new(profile, network)],
-            ..Scenario::youtube_msplayer(seed, player)
-        }
-    }
-
-    /// The service half of this scenario (host construction input).
-    pub fn service_spec(&self) -> ServiceSpec {
-        ServiceSpec {
-            service: self.service.clone(),
-            video_secs: self.video_secs,
-            copyrighted: self.copyrighted,
-            itag: self.itag,
-        }
-    }
-
-    /// The session half of this scenario.
-    pub fn session_spec(&self) -> SessionSpec {
-        SessionSpec {
-            seed: self.seed,
-            paths: self.paths.clone(),
-            player: self.player.clone(),
-            stop: self.stop,
-            server_failures: self.server_failure.into_iter().collect(),
-            chaos: None,
-        }
     }
 }
 
@@ -1168,19 +1051,6 @@ fn publish_session_telemetry(
     }
 }
 
-/// Runs one scenario to completion and returns its metrics.
-///
-/// Compatibility shim over a one-shot [`SessionHost`]: builds the host from
-/// the scenario's [`ServiceSpec`], runs its [`SessionSpec`], and panics on
-/// an invalid spec (batch users get the [`SessionSpecError`] instead).
-pub fn run_session(scenario: &Scenario) -> SessionMetrics {
-    let mut host = SessionHost::new(scenario.service_spec());
-    match host.run(&scenario.session_spec()) {
-        Ok(metrics) => metrics,
-        Err(err) => panic!("invalid scenario: {err}"),
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn dispatch_fetch(
     service: &mut YoutubeService,
@@ -1391,9 +1261,21 @@ mod tests {
         PlayerConfig::msplayer().with_prebuffer_secs(10.0)
     }
 
+    /// MSPlayer over the testbed's WiFi + LTE paths.
+    fn testbed(seed: u64, player: PlayerConfig) -> SessionSpec {
+        SessionSpec::new(seed, testbed_paths().into(), player)
+    }
+
+    /// Runs `spec` on a fresh testbed host.
+    fn run(spec: &SessionSpec) -> SessionMetrics {
+        SessionHost::new(ServiceSpec::testbed())
+            .run(spec)
+            .expect("valid spec")
+    }
+
     #[test]
     fn msplayer_prebuffer_session_completes() {
-        let m = run_session(&Scenario::testbed_msplayer(1, quick_player()));
+        let m = run(&testbed(1, quick_player()));
         let t = m.prebuffer_time().expect("prebuffer reached");
         assert!(t.as_secs_f64() > 0.5, "takes real time: {t}");
         assert!(t.as_secs_f64() < 30.0, "finishes promptly: {t}");
@@ -1404,16 +1286,16 @@ mod tests {
 
     #[test]
     fn sessions_are_deterministic() {
-        let a = run_session(&Scenario::testbed_msplayer(42, quick_player()));
-        let b = run_session(&Scenario::testbed_msplayer(42, quick_player()));
+        let a = run(&testbed(42, quick_player()));
+        let b = run(&testbed(42, quick_player()));
         assert_eq!(a.prebuffer_done_at, b.prebuffer_done_at);
         assert_eq!(a.chunks.len(), b.chunks.len());
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = run_session(&Scenario::testbed_msplayer(1, quick_player()));
-        let b = run_session(&Scenario::testbed_msplayer(2, quick_player()));
+        let a = run(&testbed(1, quick_player()));
+        let b = run(&testbed(2, quick_player()));
         assert_ne!(a.prebuffer_done_at, b.prebuffer_done_at);
     }
 
@@ -1423,19 +1305,15 @@ mod tests {
         let mut ms = 0.0;
         let mut wifi = 0.0;
         for seed in 0..runs {
-            ms += run_session(&Scenario::testbed_msplayer(seed, quick_player()))
+            ms += run(&testbed(seed, quick_player()))
                 .prebuffer_time()
                 .unwrap()
                 .as_secs_f64();
-            wifi += run_session(&Scenario::testbed_single_path(
-                seed,
-                PathProfile::wifi_testbed(),
-                Network::Wifi,
-                quick_player(),
-            ))
-            .prebuffer_time()
-            .unwrap()
-            .as_secs_f64();
+            let [wifi_path, _] = testbed_paths();
+            wifi += run(&SessionSpec::new(seed, vec![wifi_path], quick_player()))
+                .prebuffer_time()
+                .unwrap()
+                .as_secs_f64();
         }
         assert!(
             ms < wifi,
@@ -1447,7 +1325,7 @@ mod tests {
 
     #[test]
     fn wifi_head_start_is_positive() {
-        let m = run_session(&Scenario::testbed_msplayer(5, quick_player()));
+        let m = run(&testbed(5, quick_player()));
         let hs = m.observed_head_start().expect("both paths delivered");
         assert!(hs.as_secs_f64() > 0.05, "LTE starts later than WiFi: {hs}");
         // WiFi delivered its first byte first.
@@ -1457,9 +1335,9 @@ mod tests {
     #[test]
     fn steady_state_reaches_refills() {
         let cfg = quick_player();
-        let mut scenario = Scenario::testbed_msplayer(3, cfg);
-        scenario.stop = StopCondition::AfterRefills(2);
-        let m = run_session(&scenario);
+        let mut spec = testbed(3, cfg);
+        spec.stop = StopCondition::AfterRefills(2);
+        let m = run(&spec);
         assert!(m.refills.len() >= 2, "refills: {}", m.refills.len());
         for r in &m.refills {
             assert!(r.duration().as_secs_f64() > 0.0);
@@ -1469,28 +1347,28 @@ mod tests {
 
     #[test]
     fn server_failure_triggers_failover_and_session_survives() {
-        let mut scenario = Scenario::testbed_msplayer(9, quick_player());
-        scenario.stop = StopCondition::AfterRefills(1);
-        scenario.server_failure = Some(ServerFailure {
+        let mut spec = testbed(9, quick_player());
+        spec.stop = StopCondition::AfterRefills(1);
+        spec.server_failures.push(ServerFailure {
             path: 0,
             from: SimTime::from_secs(2),
             until: SimTime::from_secs(60),
         });
-        let m = run_session(&scenario);
+        let m = run(&spec);
         assert!(m.failovers[0] >= 1, "failover happened");
         assert!(!m.refills.is_empty(), "streaming continued after failover");
     }
 
     #[test]
     fn wifi_outage_mid_stream_recovers_on_lte() {
-        let mut scenario = Scenario::testbed_msplayer(11, quick_player());
+        let mut spec = testbed(11, quick_player());
         // WiFi dies from t=3s to t=20s.
-        scenario.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
+        spec.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_secs(3),
             SimTime::from_secs(20),
         )]));
-        scenario.stop = StopCondition::AfterRefills(1);
-        let m = run_session(&scenario);
+        spec.stop = StopCondition::AfterRefills(1);
+        let m = run(&spec);
         // The session still made progress (LTE carried it).
         assert!(m.prebuffer_done_at.is_some(), "prebuffer still completed");
         assert!(m.chunk_count(1) > 0);
@@ -1498,20 +1376,22 @@ mod tests {
 
     #[test]
     fn copyrighted_video_still_streams() {
-        let mut scenario = Scenario::testbed_msplayer(13, quick_player());
-        scenario.copyrighted = true;
-        let m = run_session(&scenario);
+        let service = ServiceSpec {
+            copyrighted: true,
+            ..ServiceSpec::testbed()
+        };
+        let m = SessionHost::new(service)
+            .run(&testbed(13, quick_player()))
+            .expect("valid spec");
         assert!(m.prebuffer_done_at.is_some());
     }
 
     #[test]
     fn single_path_fixed_chunks_works() {
-        let m = run_session(&Scenario::testbed_single_path(
-            17,
-            PathProfile::wifi_testbed(),
-            Network::Wifi,
-            PlayerConfig::commercial_single_path(ByteSize::kb(256)).with_prebuffer_secs(10.0),
-        ));
+        let [wifi, _] = testbed_paths();
+        let player =
+            PlayerConfig::commercial_single_path(ByteSize::kb(256)).with_prebuffer_secs(10.0);
+        let m = run(&SessionSpec::new(17, vec![wifi], player));
         assert!(m.prebuffer_done_at.is_some());
         assert_eq!(m.num_paths(), 1, "one per-path slot");
     }
@@ -1524,14 +1404,17 @@ mod tests {
             SchedulerKind::Harmonic,
         ] {
             let cfg = quick_player().with_scheduler(kind);
-            let m = run_session(&Scenario::testbed_msplayer(21, cfg));
+            let m = run(&testbed(21, cfg));
             assert!(m.prebuffer_done_at.is_some(), "{kind:?}");
         }
     }
 
     #[test]
     fn youtube_profile_sessions_run() {
-        let m = run_session(&Scenario::youtube_msplayer(23, quick_player()));
+        let spec = SessionSpec::new(23, youtube_paths().into(), quick_player());
+        let m = SessionHost::new(ServiceSpec::youtube())
+            .run(&spec)
+            .expect("valid spec");
         assert!(m.prebuffer_done_at.is_some());
         let wifi_frac = m
             .traffic_fraction(0, crate::metrics::TrafficPhase::PreBuffering)
@@ -1544,7 +1427,12 @@ mod tests {
 
     #[test]
     fn three_path_session_uses_all_paths() {
-        let m = run_session(&Scenario::testbed_three_path(31, quick_player()));
+        let mut spec = testbed(31, quick_player());
+        spec.paths.push(PathSetup::new(
+            PathProfile::ethernet_testbed(),
+            Network::Ethernet,
+        ));
+        let m = run(&spec);
         assert!(m.prebuffer_done_at.is_some(), "prebuffer completes");
         assert_eq!(m.num_paths(), 3);
         for path in 0..3 {
@@ -1559,27 +1447,26 @@ mod tests {
 
     #[test]
     fn host_batch_matches_individual_runs() {
-        let scenario = Scenario::testbed_msplayer(0, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec();
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = testbed(0, quick_player());
         let seeds = [3u64, 14, 15, 92];
         let batch = host.run_batch(&seeds, &spec).expect("valid spec");
         for (i, &seed) in seeds.iter().enumerate() {
-            let single = run_session(&Scenario::testbed_msplayer(seed, quick_player()));
+            let single = run(&testbed(seed, quick_player()));
             assert_eq!(batch[i], single, "seed {seed} diverged in batch");
         }
     }
 
     #[test]
     fn spec_validation_catches_bad_specs() {
-        let scenario = Scenario::testbed_msplayer(1, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
+        let base = testbed(1, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
 
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.paths.clear();
         assert_eq!(host.run(&spec), Err(SessionSpecError::NoPaths));
 
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.server_failures.push(ServerFailure {
             path: 5,
             from: SimTime::from_secs(1),
@@ -1593,7 +1480,7 @@ mod tests {
             })
         );
 
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.server_failures.push(ServerFailure {
             path: 0,
             from: SimTime::from_secs(2),
@@ -1604,7 +1491,7 @@ mod tests {
             Err(SessionSpecError::InvalidFailureWindow { .. })
         ));
 
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.delta = 2.0;
         assert!(matches!(
             host.run(&spec),
@@ -1618,9 +1505,9 @@ mod tests {
         // WiFi (10.5 Mb/s) + LTE (8.2 Mb/s) afford far more than itag 22's
         // 2.5 Mb/s: the damped rate policy must climb to 1080p mid-stream.
         let cfg = quick_player().with_abr_ladder(AbrLadderConfig::closed_loop());
-        let mut scenario = Scenario::testbed_msplayer(5, cfg);
-        scenario.stop = StopCondition::AfterRefills(2);
-        let m = run_session(&scenario);
+        let mut spec = testbed(5, cfg);
+        spec.stop = StopCondition::AfterRefills(2);
+        let m = run(&spec);
         let qoe = m.abr_qoe.expect("closed-loop sessions carry QoE");
         assert!(qoe.switches > 0, "no switch fired: {qoe:?}");
         assert!(
@@ -1637,7 +1524,7 @@ mod tests {
         );
         assert!(qoe.switch_magnitude_bps > 0.0);
         // Deterministic replay.
-        let again = run_session(&scenario);
+        let again = run(&spec);
         assert_eq!(m, again);
     }
 
@@ -1652,9 +1539,9 @@ mod tests {
         ] {
             let abr = AbrLadderConfig::closed_loop().with_policy(policy);
             let cfg = quick_player().with_abr_ladder(abr.clone());
-            let mut scenario = Scenario::testbed_msplayer(7, cfg);
-            scenario.stop = StopCondition::AfterRefills(1);
-            let m = run_session(&scenario);
+            let mut spec = testbed(7, cfg);
+            spec.stop = StopCondition::AfterRefills(1);
+            let m = run(&spec);
             assert!(
                 m.abr_qoe.is_some() && !m.abr_decisions.is_empty(),
                 "{policy:?} produced no decisions"
@@ -1662,9 +1549,9 @@ mod tests {
             // The shadow twin of the same policy traces decisions but
             // never switches and carries no QoE record.
             let shadow = abr.with_mode(AbrMode::Shadow);
-            let mut sh_scenario = scenario.clone();
-            sh_scenario.player = quick_player().with_abr_ladder(shadow);
-            let sh = run_session(&sh_scenario);
+            let mut shadow_spec = spec.clone();
+            shadow_spec.player = quick_player().with_abr_ladder(shadow);
+            let sh = run(&shadow_spec);
             assert!(sh.abr_qoe.is_none(), "{policy:?} shadow grew QoE");
             assert!(
                 sh.abr_decisions.iter().all(|d| !d.switched),
@@ -1676,11 +1563,11 @@ mod tests {
     #[test]
     fn ladder_validation_rejects_malformed_ladders() {
         use crate::config::AbrLadderConfig;
-        let scenario = Scenario::testbed_msplayer(1, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
+        let base = testbed(1, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
 
         // Empty ladder.
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::closed_loop().with_ladder(vec![]));
         assert!(matches!(
             host.run(&spec),
@@ -1688,7 +1575,7 @@ mod tests {
         ));
 
         // Unknown itag.
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::closed_loop().with_ladder(vec![18, 999]));
         assert!(matches!(
             host.run(&spec),
@@ -1696,7 +1583,7 @@ mod tests {
         ));
 
         // Non-monotone bitrates (43 is 650 kb/s, 18 is 600 kb/s).
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::closed_loop().with_ladder(vec![43, 18, 22]));
         assert!(matches!(
             host.run(&spec),
@@ -1704,7 +1591,7 @@ mod tests {
         ));
 
         // Closed-loop ladder missing the session's starting itag (22).
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::closed_loop().with_ladder(vec![18, 37]));
         assert!(matches!(
             host.run(&spec),
@@ -1712,7 +1599,7 @@ mod tests {
         ));
 
         // The same ladder is fine in shadow mode (nothing streams off 22).
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::default().with_ladder(vec![18, 37]));
         assert!(host.run(&spec).is_ok());
     }
@@ -1726,16 +1613,16 @@ mod tests {
              dns-flap:path=0,from=1s,until=20s",
         )
         .unwrap();
-        let scenario = Scenario::testbed_msplayer(33, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec().with_chaos(plan);
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let clean_spec = testbed(33, quick_player());
+        let spec = clean_spec.clone().with_chaos(plan);
         let a = host.run(&spec).expect("valid chaotic spec");
         let b = host.run(&spec).expect("valid chaotic spec");
         assert_eq!(a, b, "chaos must be seed-deterministic");
         let violations = check_invariants(&a);
         assert!(violations.is_empty(), "oracle violated: {violations:?}");
         // The plan actually bit: the outcome differs from the clean run.
-        let clean = host.run(&scenario.session_spec()).expect("valid spec");
+        let clean = host.run(&clean_spec).expect("valid spec");
         assert_ne!(a, clean, "chaos plan had no observable effect");
     }
 
@@ -1743,9 +1630,8 @@ mod tests {
     fn chaos_overload_triggers_failover_and_session_survives() {
         use crate::chaos::ChaosPlan;
         let plan = ChaosPlan::parse("overload:path=0,from=1s,until=60s").unwrap();
-        let scenario = Scenario::testbed_msplayer(9, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec().with_chaos(plan);
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = testbed(9, quick_player()).with_chaos(plan);
         let m = host.run(&spec).expect("valid spec");
         assert!(m.failovers[0] >= 1, "503s force a replica switch");
         assert!(m.prebuffer_done_at.is_some(), "session survives overload");
@@ -1757,13 +1643,12 @@ mod tests {
         let plan =
             ChaosPlan::parse("token-expiry:2s;outage:path=1,dir=up,from=1s,until=3s;jitter:500ms")
                 .unwrap();
-        let scenario = Scenario::testbed_msplayer(0, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec().with_chaos(plan.clone());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = testbed(0, quick_player()).with_chaos(plan);
         let seeds = [3u64, 14, 15, 92];
         let batch = host.run_batch(&seeds, &spec).expect("valid spec");
         for (i, &seed) in seeds.iter().enumerate() {
-            let mut fresh = SessionHost::new(scenario.service_spec());
+            let mut fresh = SessionHost::new(ServiceSpec::testbed());
             let single = fresh.run(&spec.clone().with_seed(seed)).expect("valid");
             assert_eq!(batch[i], single, "seed {seed} diverged under chaos");
         }
@@ -1773,9 +1658,8 @@ mod tests {
     fn chaos_validation_rejects_out_of_range_paths() {
         use crate::chaos::ChaosPlan;
         let plan = ChaosPlan::parse("overload:path=7,from=1s,until=2s").unwrap();
-        let scenario = Scenario::testbed_msplayer(1, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec().with_chaos(plan);
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = testbed(1, quick_player()).with_chaos(plan);
         assert!(matches!(
             host.run(&spec),
             Err(SessionSpecError::InvalidChaos { .. })
@@ -1784,11 +1668,8 @@ mod tests {
 
     #[test]
     fn failure_storm_on_two_paths_survives() {
-        let scenario = Scenario::testbed_msplayer(7, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let mut spec = scenario
-            .session_spec()
-            .with_stop(StopCondition::AfterRefills(1));
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let mut spec = testbed(7, quick_player()).with_stop(StopCondition::AfterRefills(1));
         spec.server_failures = vec![
             ServerFailure {
                 path: 0,

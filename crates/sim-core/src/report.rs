@@ -130,15 +130,17 @@ impl BoxPanel {
         if self.rows.is_empty() {
             return format!("{}\n(no data)\n", self.title);
         }
+        // Interpolated quartiles of small samples can lie outside the
+        // whiskers (a whisker ends on a data point), so the axis spans both.
         let lo = self
             .rows
             .iter()
-            .map(|(_, b)| b.whisker_lo)
+            .map(|(_, b)| b.whisker_lo.min(b.q1))
             .fold(f64::INFINITY, f64::min);
         let hi = self
             .rows
             .iter()
-            .map(|(_, b)| b.whisker_hi)
+            .map(|(_, b)| b.whisker_hi.max(b.q3))
             .fold(f64::NEG_INFINITY, f64::max);
         let span = (hi - lo).max(1e-12);
         let label_w = self.rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
@@ -330,6 +332,19 @@ mod tests {
         assert!(s.contains(']'));
         assert!(s.contains('|'));
         assert!(s.contains("seconds"));
+    }
+
+    #[test]
+    fn boxplot_quartile_beyond_whisker_stays_on_the_axis() {
+        use crate::stats::BoxStats;
+        // q3 interpolates to 3.25; 10 is an outlier, so the upper whisker
+        // stops at 1.
+        let b = BoxStats::from_sample(&[1.0, 1.0, 1.0, 10.0]);
+        assert!(b.q3 > b.whisker_hi, "{b:?}");
+        let mut p = BoxPanel::new("demo", "seconds", 20);
+        p.add("row", b);
+        let s = p.render();
+        assert!(s.lines().nth(1).unwrap().ends_with(']'), "{s}");
     }
 
     #[test]

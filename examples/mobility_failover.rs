@@ -7,22 +7,31 @@
 //! ```
 
 use msplayer::core::config::PlayerConfig;
-use msplayer::core::sim::{run_session, Scenario, ServerFailure, StopCondition};
+use msplayer::core::metrics::SessionMetrics;
+use msplayer::core::sim::{
+    testbed_paths, ServerFailure, ServiceSpec, SessionHost, SessionSpec, StopCondition,
+};
 use msplayer::net::OutageSchedule;
 use msplayer::simcore::time::SimTime;
 
+/// Runs `session` on the emulated testbed.
+fn run(session: &SessionSpec) -> SessionMetrics {
+    SessionHost::new(ServiceSpec::testbed())
+        .run(session)
+        .expect("valid session")
+}
+
 fn main() {
     let player = PlayerConfig::msplayer();
+    let wifi_outage =
+        OutageSchedule::from_windows(vec![(SimTime::from_secs(8), SimTime::from_secs(23))]);
 
-    // --- Scenario A: the WiFi link dies for 15 s during playback ---------
+    // --- Case A: the WiFi link dies for 15 s during playback -------------
     println!("== A) WiFi outage from t=8 s to t=23 s ==");
-    let mut scenario = Scenario::testbed_msplayer(77, player.clone());
-    scenario.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
-        SimTime::from_secs(8),
-        SimTime::from_secs(23),
-    )]));
-    scenario.stop = StopCondition::AfterRefills(3);
-    let m = run_session(&scenario);
+    let mut session = SessionSpec::new(77, testbed_paths().into(), player.clone())
+        .with_stop(StopCondition::AfterRefills(3));
+    session.paths[0].outages = Some(wifi_outage.clone());
+    let m = run(&session);
     println!(
         "   pre-buffer: {}   refills completed: {}   stalls: {} ({} total)",
         m.prebuffer_time().expect("completed"),
@@ -36,16 +45,16 @@ fn main() {
         m.chunk_count(0),
     );
 
-    // --- Scenario B: WiFi's primary video server fails at t=2 s ----------
+    // --- Case B: WiFi's primary video server fails at t=2 s --------------
     println!("== B) WiFi-side video server fails at t=2 s (source diversity) ==");
-    let mut scenario = Scenario::testbed_msplayer(78, player.clone());
-    scenario.server_failure = Some(ServerFailure {
+    let mut session = SessionSpec::new(78, testbed_paths().into(), player.clone())
+        .with_stop(StopCondition::AfterRefills(2));
+    session.server_failures.push(ServerFailure {
         path: 0,
         from: SimTime::from_secs(2),
         until: SimTime::from_secs(300),
     });
-    scenario.stop = StopCondition::AfterRefills(2);
-    let m = run_session(&scenario);
+    let m = run(&session);
     println!(
         "   pre-buffer: {}   failovers on WiFi path: {}   refills: {}",
         m.prebuffer_time().expect("completed"),
@@ -58,18 +67,13 @@ fn main() {
 
     // --- Baseline: a single-path player facing the same WiFi outage ------
     println!("== C) The same outage with a single-path WiFi player ==");
-    let mut scenario = Scenario::testbed_single_path(
-        77,
-        msplayer::net::PathProfile::wifi_testbed(),
-        msplayer::youtube::Network::Wifi,
-        PlayerConfig::commercial_single_path(msplayer::simcore::units::ByteSize::kb(256)),
-    );
-    scenario.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
-        SimTime::from_secs(8),
-        SimTime::from_secs(23),
-    )]));
-    scenario.stop = StopCondition::AfterRefills(3);
-    let m = run_session(&scenario);
+    let [mut wifi, _] = testbed_paths();
+    wifi.outages = Some(wifi_outage);
+    let commercial =
+        PlayerConfig::commercial_single_path(msplayer::simcore::units::ByteSize::kb(256));
+    let session =
+        SessionSpec::new(77, vec![wifi], commercial).with_stop(StopCondition::AfterRefills(3));
+    let m = run(&session);
     println!(
         "   refills completed: {}   stalls: {} ({} of frozen playback)",
         m.refills.len(),

@@ -7,7 +7,7 @@
 
 use msplayer::core::config::PlayerConfig;
 use msplayer::core::metrics::TrafficPhase;
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
+use msplayer::core::sim::{testbed_paths, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 
 fn main() {
     // The paper's default player: Harmonic scheduler, 256 KB initial
@@ -16,10 +16,13 @@ fn main() {
 
     // WiFi + LTE against two video sources per network; run through the
     // pre-buffering phase and two steady-state refill cycles.
-    let mut scenario = Scenario::testbed_msplayer(/* seed */ 2014, config);
-    scenario.stop = StopCondition::AfterRefills(2);
+    let session = SessionSpec::new(/* seed */ 2014, testbed_paths().into(), config)
+        .with_stop(StopCondition::AfterRefills(2));
 
-    let metrics = run_session(&scenario);
+    // The host builds the emulated service once; it could run any number
+    // of further sessions over it.
+    let mut host = SessionHost::new(ServiceSpec::testbed());
+    let metrics = host.run(&session).expect("valid session");
 
     println!("== MSPlayer quickstart (emulated testbed, seed 2014) ==\n");
     println!(

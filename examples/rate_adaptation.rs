@@ -12,15 +12,17 @@
 use msplayer::core::adaptation::{AdaptationConfig, RateAdapter, SwitchReason};
 use msplayer::core::config::PlayerConfig;
 use msplayer::core::estimator::{BandwidthEstimator, HarmonicInc};
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
+use msplayer::core::sim::{youtube_paths, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 use msplayer::simcore::units::BitRate;
 use msplayer::youtube::ITAGS;
 
 fn main() {
     // Stream a long session to collect realistic per-chunk samples.
-    let mut scenario = Scenario::youtube_msplayer(31, PlayerConfig::msplayer());
-    scenario.stop = StopCondition::AfterRefills(6);
-    let metrics = run_session(&scenario);
+    let session = SessionSpec::new(31, youtube_paths().into(), PlayerConfig::msplayer())
+        .with_stop(StopCondition::AfterRefills(6));
+    let metrics = SessionHost::new(ServiceSpec::youtube())
+        .run(&session)
+        .expect("valid session");
 
     let mut estimators = [HarmonicInc::new(), HarmonicInc::new()];
     let mut adapter = RateAdapter::new(AdaptationConfig::default(), ITAGS.to_vec());

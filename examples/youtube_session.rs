@@ -8,7 +8,7 @@
 //! ```
 
 use msplayer::core::config::PlayerConfig;
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
+use msplayer::core::sim::{youtube_paths, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 use msplayer::simcore::time::SimTime;
 use msplayer::youtube::{
     parse_video_info, Catalog, DnsResolver, Network, ServiceConfig, Video, VideoId, YoutubeService,
@@ -76,9 +76,11 @@ fn main() {
     }
 
     // Now stream it end to end on the §6 YouTube profile.
-    let mut scenario = Scenario::youtube_msplayer(99, PlayerConfig::msplayer());
-    scenario.stop = StopCondition::AfterRefills(1);
-    let m = run_session(&scenario);
+    let session = SessionSpec::new(99, youtube_paths().into(), PlayerConfig::msplayer())
+        .with_stop(StopCondition::AfterRefills(1));
+    let m = SessionHost::new(ServiceSpec::youtube())
+        .run(&session)
+        .expect("valid session");
     println!(
         "streamed: pre-buffer in {}, first refill in {:.2} s, WiFi share {:.0} %",
         m.prebuffer_time().expect("completed"),

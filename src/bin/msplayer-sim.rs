@@ -15,13 +15,14 @@ use msplayer::core::chaos::{check_invariants, ChaosPlan};
 use msplayer::core::config::{PlayerConfig, SchedulerKind};
 use msplayer::core::fleet::{FleetHost, FleetMode, FleetSpec, SelectionPolicy};
 use msplayer::core::metrics::{SessionMetrics, TrafficPhase};
-use msplayer::core::sim::{run_session, Scenario, SessionHost, StopCondition};
+use msplayer::core::sim::{
+    testbed_paths, youtube_paths, ServiceSpec, SessionHost, SessionSpec, SessionSpecError,
+    StopCondition,
+};
 use msplayer::core::trace::render_timeline;
-use msplayer::net::PathProfile;
 use msplayer::simcore::stats::{median, Running};
 use msplayer::simcore::telemetry;
 use msplayer::simcore::units::ByteSize;
-use msplayer::youtube::Network;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug, PartialEq)]
@@ -97,7 +98,7 @@ Any chaos-corpus case replays in one command:
 
 Fleet mode couples every session through shared replica capacity
 (--chaos fleet plans like capacity-crunch apply fleet-wide); exact mode
-runs full per-chunk sessions on the scenario picked by --env/--player:
+runs full per-chunk copies of the session picked by --env/--player:
     msplayer-sim --fleet --fleet-sessions 50000 --fleet-policy qoe-first
     msplayer-sim --fleet --fleet-mode exact --fleet-sessions 16
 ";
@@ -111,8 +112,9 @@ fn parse_size(s: &str) -> Result<u64, String> {
         _ => (s, 1),
     };
     num.parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|_| format!("bad size {s:?}"))
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| format!("bad size {s:?}"))
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -178,7 +180,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opt)
 }
 
-fn scenario_for(opt: &Options, seed: u64) -> Scenario {
+/// The service and session picked by `--env`/`--player` and the player
+/// flags: MSPlayer over the environment's WiFi + LTE paths, or the
+/// commercial player over one of them.
+fn specs_for(opt: &Options, seed: u64) -> (ServiceSpec, SessionSpec) {
     let kind = match opt.scheduler.as_str() {
         "ewma" => SchedulerKind::Ewma,
         "ratio" => SchedulerKind::Ratio,
@@ -194,56 +199,47 @@ fn scenario_for(opt: &Options, seed: u64) -> Scenario {
         PlayerConfig::commercial_single_path(ByteSize::bytes(opt.chunk))
             .with_prebuffer_secs(opt.prebuffer)
     };
-    let youtube = opt.env == "youtube";
-    let mut scenario = match (youtube, opt.player.as_str()) {
-        (false, "msplayer") => Scenario::testbed_msplayer(seed, cfg),
-        (true, "msplayer") => Scenario::youtube_msplayer(seed, cfg),
-        (false, "wifi") => {
-            Scenario::testbed_single_path(seed, PathProfile::wifi_testbed(), Network::Wifi, cfg)
-        }
-        (true, "wifi") => {
-            Scenario::youtube_single_path(seed, PathProfile::wifi_youtube(), Network::Wifi, cfg)
-        }
-        (false, _) => {
-            Scenario::testbed_single_path(seed, PathProfile::lte_testbed(), Network::Cellular, cfg)
-        }
-        (true, _) => {
-            Scenario::youtube_single_path(seed, PathProfile::lte_youtube(), Network::Cellular, cfg)
-        }
+    let (service, [wifi, lte]) = if opt.env == "youtube" {
+        (ServiceSpec::youtube(), youtube_paths())
+    } else {
+        (ServiceSpec::testbed(), testbed_paths())
     };
-    scenario.stop = if opt.refills > 0 {
+    let paths = match opt.player.as_str() {
+        "msplayer" => vec![wifi, lte],
+        "wifi" => vec![wifi],
+        _ => vec![lte],
+    };
+    let stop = if opt.refills > 0 {
         StopCondition::AfterRefills(opt.refills)
     } else {
         StopCondition::PrebufferDone
     };
-    scenario
+    let session = SessionSpec::new(seed, paths, cfg).with_stop(stop);
+    (service, session)
 }
 
-/// Runs one seeded session, layering the chaos plan (if any) onto the
-/// scenario's session spec without touching the scenario itself.
-fn run_one(opt: &Options, seed: u64) -> SessionMetrics {
-    let scenario = scenario_for(opt, seed);
-    if opt.chaos.is_empty() {
-        return run_session(&scenario);
+/// Runs one seeded session, layering the chaos plan (if any) onto its
+/// session spec. An invalid spec (e.g. a chunk size or pre-buffer the
+/// player rejects) comes back as the error.
+fn run_one(opt: &Options, seed: u64) -> Result<SessionMetrics, SessionSpecError> {
+    let (service, mut session) = specs_for(opt, seed);
+    if !opt.chaos.is_empty() {
+        let plan = ChaosPlan::preset(&opt.chaos).expect("plan validated during arg parsing");
+        session = session.with_chaos(plan);
     }
-    let plan = ChaosPlan::preset(&opt.chaos).expect("plan validated during arg parsing");
-    let spec = scenario.session_spec().with_chaos(plan);
-    match SessionHost::new(scenario.service_spec()).run(&spec) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("invalid session under chaos plan {:?}: {e}", opt.chaos);
-            std::process::exit(2);
-        }
-    }
+    SessionHost::new(service).run(&session)
 }
 
 /// Builds the fleet spec implied by the CLI options: fluid mode uses the
 /// default mixed-access population, exact mode drives full per-chunk
-/// sessions of the `--env`/`--player` scenario.
+/// copies of the session picked by `--env`/`--player`.
 fn fleet_spec_for(opt: &Options) -> FleetSpec {
     let mut spec = match opt.fleet_mode {
         FleetMode::Fluid => FleetSpec::fluid(opt.seed, opt.fleet_sessions),
-        FleetMode::Exact => FleetSpec::exact(scenario_for(opt, opt.seed), opt.fleet_sessions),
+        FleetMode::Exact => {
+            let (service, session) = specs_for(opt, opt.seed);
+            FleetSpec::exact(service, session, opt.fleet_sessions)
+        }
     };
     spec.policy = opt.fleet_policy;
     if !opt.chaos.is_empty() {
@@ -335,7 +331,13 @@ fn main() {
     let mut chaos_violations = 0usize;
     for run in 0..opt.runs {
         let seed = opt.seed ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let m = run_one(&opt, seed);
+        let m = match run_one(&opt, seed) {
+            Ok(m) => m,
+            Err(e) => {
+                eprintln!("invalid session: {e}");
+                std::process::exit(2);
+            }
+        };
         if !opt.chaos.is_empty() {
             let violations = check_invariants(&m);
             if violations.is_empty() {
@@ -470,6 +472,12 @@ mod tests {
         assert_eq!(parse_size("1M").unwrap(), 1_048_576);
         assert_eq!(parse_size("512").unwrap(), 512);
         assert!(parse_size("abcK").is_err());
+        // 2^44 MiB = 2^64 bytes: overflow is an error, not a wrap to 0.
+        assert!(parse_size("17592186044416M").is_err());
+        assert_eq!(
+            parse_size("17592186044415M").unwrap(),
+            u64::MAX - 1024 * 1024 + 1
+        );
     }
 
     #[test]
@@ -496,8 +504,8 @@ mod tests {
             chaos: "skew:+250ms;overload:path=1,from=1s,until=8s".into(),
             ..Options::default()
         };
-        let a = run_one(&o, 33);
-        let b = run_one(&o, 33);
+        let a = run_one(&o, 33).unwrap();
+        let b = run_one(&o, 33).unwrap();
         assert_eq!(a, b, "chaos replay must be bit-identical");
         assert!(check_invariants(&a).is_empty());
         // The plan actually changes the session.
@@ -507,7 +515,8 @@ mod tests {
                 ..o.clone()
             },
             33,
-        );
+        )
+        .unwrap();
         assert_ne!(a, clean, "the plan must perturb the session");
     }
 
@@ -563,9 +572,11 @@ mod tests {
                     prebuffer: 5.0,
                     ..Options::default()
                 };
-                let s = scenario_for(&o, 1);
+                let (service, session) = specs_for(&o, 1);
                 let expected_paths = if player == "msplayer" { 2 } else { 1 };
-                assert_eq!(s.paths.len(), expected_paths, "{env}/{player}");
+                assert_eq!(session.paths.len(), expected_paths, "{env}/{player}");
+                assert_eq!(service.copyrighted, env == "youtube", "{env}/{player}");
+                session.validate().expect("CLI specs validate");
             }
         }
     }
@@ -576,7 +587,30 @@ mod tests {
             prebuffer: 5.0,
             ..Options::default()
         };
-        let m = run_session(&scenario_for(&o, 42));
+        let m = run_one(&o, 42).expect("valid session");
         assert!(m.prebuffer_time().is_some());
+    }
+
+    #[test]
+    fn invalid_player_flags_are_an_error_not_a_panic() {
+        for o in [
+            Options {
+                chunk: 1,
+                ..Options::default()
+            },
+            Options {
+                prebuffer: 0.0,
+                ..Options::default()
+            },
+            Options {
+                prebuffer: f64::NAN,
+                ..Options::default()
+            },
+        ] {
+            assert!(
+                matches!(run_one(&o, 1), Err(SessionSpecError::InvalidPlayer(_))),
+                "{o:?}"
+            );
+        }
     }
 }

@@ -23,10 +23,13 @@
 //!
 //! ```
 //! use msplayer::core::config::PlayerConfig;
-//! use msplayer::core::sim::{run_session, Scenario};
+//! use msplayer::core::sim::{testbed_paths, ServiceSpec, SessionHost, SessionSpec};
 //!
 //! let cfg = PlayerConfig::msplayer().with_prebuffer_secs(10.0);
-//! let metrics = run_session(&Scenario::testbed_msplayer(7, cfg));
+//! let session = SessionSpec::new(7, testbed_paths().into(), cfg);
+//! let metrics = SessionHost::new(ServiceSpec::testbed())
+//!     .run(&session)
+//!     .expect("valid session");
 //! assert!(metrics.prebuffer_time().is_some());
 //! ```
 

@@ -3,14 +3,30 @@
 //! and the player.
 
 use msplayer::core::config::{PlayerConfig, SchedulerKind};
+use msplayer::core::metrics::SessionMetrics;
 use msplayer::core::metrics::TrafficPhase;
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
-use msplayer::net::PathProfile;
+use msplayer::core::sim::{
+    testbed_paths, youtube_paths, ServiceSpec, SessionHost, SessionSpec, StopCondition,
+};
 use msplayer::simcore::units::ByteSize;
-use msplayer::youtube::Network;
 
 fn quick() -> PlayerConfig {
     PlayerConfig::msplayer().with_prebuffer_secs(15.0)
+}
+
+/// MSPlayer over the testbed's WiFi + LTE paths.
+fn testbed(seed: u64, player: PlayerConfig) -> SessionSpec {
+    SessionSpec::new(seed, testbed_paths().into(), player)
+}
+
+/// Runs `session` on a fresh host over `service`.
+fn run_on(service: ServiceSpec, session: &SessionSpec) -> SessionMetrics {
+    SessionHost::new(service).run(session).expect("valid spec")
+}
+
+/// Runs `session` on a fresh testbed host.
+fn run(session: &SessionSpec) -> SessionMetrics {
+    run_on(ServiceSpec::testbed(), session)
 }
 
 #[test]
@@ -21,11 +37,12 @@ fn full_session_all_schedulers_both_environments() {
         SchedulerKind::Ratio,
         SchedulerKind::HarmonicWindowed,
     ] {
-        for scenario in [
-            Scenario::testbed_msplayer(5, quick().with_scheduler(kind)),
-            Scenario::youtube_msplayer(5, quick().with_scheduler(kind)),
+        for (service, paths) in [
+            (ServiceSpec::testbed(), testbed_paths()),
+            (ServiceSpec::youtube(), youtube_paths()),
         ] {
-            let m = run_session(&scenario);
+            let session = SessionSpec::new(5, paths.into(), quick().with_scheduler(kind));
+            let m = run_on(service, &session);
             let t = m
                 .prebuffer_time()
                 .unwrap_or_else(|| panic!("{kind:?} failed to pre-buffer"));
@@ -39,11 +56,9 @@ fn full_session_all_schedulers_both_environments() {
 
 #[test]
 fn deterministic_replay_full_stack() {
-    let run = || {
-        let mut s = Scenario::youtube_msplayer(1234, quick());
-        s.stop = StopCondition::AfterRefills(2);
-        run_session(&s)
-    };
+    let session = SessionSpec::new(1234, youtube_paths().into(), quick())
+        .with_stop(StopCondition::AfterRefills(2));
+    let run = || run_on(ServiceSpec::youtube(), &session);
     let a = run();
     let b = run();
     assert_eq!(a.prebuffer_done_at, b.prebuffer_done_at);
@@ -58,9 +73,7 @@ fn deterministic_replay_full_stack() {
 
 #[test]
 fn chunk_ranges_cover_prefix_without_overlap() {
-    let mut s = Scenario::testbed_msplayer(9, quick());
-    s.stop = StopCondition::AfterRefills(1);
-    let m = run_session(&s);
+    let m = run(&testbed(9, quick()).with_stop(StopCondition::AfterRefills(1)));
     // Sort all completed chunks by their metric record; re-derive coverage
     // from the byte counts: total fetched equals the contiguous target plus
     // at most max_chunk of overshoot per path.
@@ -78,9 +91,7 @@ fn chunk_ranges_cover_prefix_without_overlap() {
 
 #[test]
 fn traffic_fractions_are_probabilities_and_sum_to_one() {
-    let mut s = Scenario::testbed_msplayer(21, quick());
-    s.stop = StopCondition::AfterRefills(2);
-    let m = run_session(&s);
+    let m = run(&testbed(21, quick()).with_stop(StopCondition::AfterRefills(2)));
     for phase in [TrafficPhase::PreBuffering, TrafficPhase::ReBuffering] {
         let f0 = m.traffic_fraction(0, phase).expect("traffic exists");
         let f1 = m.traffic_fraction(1, phase).expect("traffic exists");
@@ -91,9 +102,7 @@ fn traffic_fractions_are_probabilities_and_sum_to_one() {
 
 #[test]
 fn no_stalls_on_healthy_links() {
-    let mut s = Scenario::testbed_msplayer(33, quick());
-    s.stop = StopCondition::AfterRefills(3);
-    let m = run_session(&s);
+    let m = run(&testbed(33, quick()).with_stop(StopCondition::AfterRefills(3)));
     assert_eq!(
         m.stalls.len(),
         0,
@@ -106,12 +115,10 @@ fn no_stalls_on_healthy_links() {
 #[test]
 fn single_path_commercial_profiles_work_at_both_chunk_sizes() {
     for chunk in [64u64, 256] {
-        let m = run_session(&Scenario::testbed_single_path(
-            3,
-            PathProfile::wifi_testbed(),
-            Network::Wifi,
-            PlayerConfig::commercial_single_path(ByteSize::kb(chunk)).with_prebuffer_secs(15.0),
-        ));
+        let [wifi, _] = testbed_paths();
+        let player =
+            PlayerConfig::commercial_single_path(ByteSize::kb(chunk)).with_prebuffer_secs(15.0);
+        let m = run(&SessionSpec::new(3, vec![wifi], player));
         assert!(m.prebuffer_time().is_some(), "{chunk} KB profile streams");
         assert_eq!(m.chunk_count(1), 0);
     }
@@ -120,7 +127,7 @@ fn single_path_commercial_profiles_work_at_both_chunk_sizes() {
 #[test]
 fn longer_prebuffer_takes_longer() {
     let t = |pb: f64| {
-        run_session(&Scenario::testbed_msplayer(
+        run(&testbed(
             11,
             PlayerConfig::msplayer().with_prebuffer_secs(pb),
         ))
@@ -139,12 +146,13 @@ fn longer_prebuffer_takes_longer() {
 
 #[test]
 fn copyrighted_videos_pay_a_bootstrap_penalty() {
-    let mut free = Scenario::testbed_msplayer(17, quick());
-    free.copyrighted = false;
-    let mut protected = Scenario::testbed_msplayer(17, quick());
-    protected.copyrighted = true;
-    let t_free = run_session(&free).prebuffer_time().unwrap();
-    let t_protected = run_session(&protected).prebuffer_time().unwrap();
+    let session = testbed(17, quick());
+    let protected = ServiceSpec {
+        copyrighted: true,
+        ..ServiceSpec::testbed()
+    };
+    let t_free = run(&session).prebuffer_time().unwrap();
+    let t_protected = run_on(protected, &session).prebuffer_time().unwrap();
     assert!(
         t_protected > t_free,
         "decoder-page fetch costs time: {t_protected} vs {t_free}"
@@ -153,10 +161,10 @@ fn copyrighted_videos_pay_a_bootstrap_penalty() {
 
 #[test]
 fn head_start_config_controls_first_bytes() {
-    let with = run_session(&Scenario::testbed_msplayer(25, quick()));
+    let with = run(&testbed(25, quick()));
     let mut cfg = quick();
     cfg.head_start = false;
-    let without = run_session(&Scenario::testbed_msplayer(25, cfg));
+    let without = run(&testbed(25, cfg));
     // Without head start both paths begin together.
     let gap_with = with.observed_head_start().unwrap().as_secs_f64();
     let gap_without = without.observed_head_start().unwrap().as_secs_f64();

@@ -3,31 +3,47 @@
 //! default seeds. The full-N versions live in `crates/bench/benches/`.
 
 use msplayer::core::config::{PlayerConfig, SchedulerKind};
+use msplayer::core::metrics::SessionMetrics;
 use msplayer::core::metrics::TrafficPhase;
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
+use msplayer::core::sim::{
+    testbed_paths, youtube_paths, PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition,
+};
 use msplayer::http::tls::TlsTimingModel;
-use msplayer::net::PathProfile;
 use msplayer::simcore::stats::median;
 use msplayer::simcore::time::SimDuration;
 use msplayer::simcore::units::ByteSize;
-use msplayer::youtube::Network;
 
 const RUNS: u64 = 8;
 
-fn seeds() -> impl Iterator<Item = u64> {
-    (0..RUNS).map(|r| 0x5eed ^ (r.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+/// Runs `player` over `paths` on `service` until `stop`, once per smoke
+/// seed. Pass a paper path preset whole for MSPlayer, or one of its two
+/// paths (`[..1]` WiFi, `[1..]` LTE) for a single-path player.
+fn run_seeds(
+    service: ServiceSpec,
+    paths: &[PathSetup],
+    player: PlayerConfig,
+    stop: StopCondition,
+) -> Vec<SessionMetrics> {
+    let seeds: Vec<u64> = (0..RUNS)
+        .map(|r| 0x5eed ^ (r.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect();
+    let session = SessionSpec::new(0, paths.to_vec(), player).with_stop(stop);
+    SessionHost::new(service)
+        .run_batch(&seeds, &session)
+        .expect("valid spec")
 }
 
-fn prebuffer_median(make: impl Fn(u64) -> Scenario) -> f64 {
-    let times: Vec<f64> = seeds()
-        .map(|s| {
-            run_session(&make(s))
-                .prebuffer_time()
-                .expect("completes")
-                .as_secs_f64()
-        })
+fn prebuffer_median(service: ServiceSpec, paths: &[PathSetup], player: PlayerConfig) -> f64 {
+    let times: Vec<f64> = run_seeds(service, paths, player, StopCondition::PrebufferDone)
+        .iter()
+        .map(|m| m.prebuffer_time().expect("completes").as_secs_f64())
         .collect();
     median(&times)
+}
+
+/// MSPlayer's median pre-buffer time over the testbed's WiFi + LTE paths.
+fn testbed_median(player: PlayerConfig) -> f64 {
+    prebuffer_median(ServiceSpec::testbed(), &testbed_paths(), player)
 }
 
 fn msplayer_cfg(kind: SchedulerKind, chunk_kb: u64, pb: f64) -> PlayerConfig {
@@ -60,25 +76,10 @@ fn fig1_formulas_hold() {
 
 #[test]
 fn fig2_msplayer_beats_both_single_paths() {
-    let ms = prebuffer_median(|s| {
-        Scenario::testbed_msplayer(s, msplayer_cfg(SchedulerKind::Ratio, 1024, 40.0))
-    });
-    let wifi = prebuffer_median(|s| {
-        Scenario::testbed_single_path(
-            s,
-            PathProfile::wifi_testbed(),
-            Network::Wifi,
-            commercial(1024, 40.0),
-        )
-    });
-    let lte = prebuffer_median(|s| {
-        Scenario::testbed_single_path(
-            s,
-            PathProfile::lte_testbed(),
-            Network::Cellular,
-            commercial(1024, 40.0),
-        )
-    });
+    let paths = testbed_paths();
+    let ms = testbed_median(msplayer_cfg(SchedulerKind::Ratio, 1024, 40.0));
+    let wifi = prebuffer_median(ServiceSpec::testbed(), &paths[..1], commercial(1024, 40.0));
+    let lte = prebuffer_median(ServiceSpec::testbed(), &paths[1..], commercial(1024, 40.0));
     assert!(wifi < lte, "WiFi is the best single path: {wifi} vs {lte}");
     let reduction = 1.0 - ms / wifi;
     assert!(
@@ -92,23 +93,15 @@ fn fig2_msplayer_beats_both_single_paths() {
 
 #[test]
 fn fig3_larger_initial_chunks_download_faster() {
-    let t16 = prebuffer_median(|s| {
-        Scenario::testbed_msplayer(s, msplayer_cfg(SchedulerKind::Harmonic, 16, 40.0))
-    });
-    let t1m = prebuffer_median(|s| {
-        Scenario::testbed_msplayer(s, msplayer_cfg(SchedulerKind::Harmonic, 1024, 40.0))
-    });
+    let t16 = testbed_median(msplayer_cfg(SchedulerKind::Harmonic, 16, 40.0));
+    let t1m = testbed_median(msplayer_cfg(SchedulerKind::Harmonic, 1024, 40.0));
     assert!(t1m < t16, "1 MB beats 16 KB: {t1m} vs {t16}");
 }
 
 #[test]
 fn fig3_ratio_baseline_is_much_worse_at_small_chunks() {
-    let harmonic = prebuffer_median(|s| {
-        Scenario::testbed_msplayer(s, msplayer_cfg(SchedulerKind::Harmonic, 16, 40.0))
-    });
-    let ratio = prebuffer_median(|s| {
-        Scenario::testbed_msplayer(s, msplayer_cfg(SchedulerKind::Ratio, 16, 40.0))
-    });
+    let harmonic = testbed_median(msplayer_cfg(SchedulerKind::Harmonic, 16, 40.0));
+    let ratio = testbed_median(msplayer_cfg(SchedulerKind::Ratio, 16, 40.0));
     assert!(
         ratio > harmonic * 1.3,
         "Ratio cannot grow the slow path's chunks: ratio={ratio:.2} harmonic={harmonic:.2}"
@@ -119,12 +112,8 @@ fn fig3_ratio_baseline_is_much_worse_at_small_chunks() {
 fn fig3_harmonic_default_chunk_choice_is_justified() {
     // §5.2: Harmonic(256 KB) ≈ Harmonic(1 MB), so 256 KB is preferred for
     // smaller bursts.
-    let t256 = prebuffer_median(|s| {
-        Scenario::testbed_msplayer(s, msplayer_cfg(SchedulerKind::Harmonic, 256, 40.0))
-    });
-    let t1m = prebuffer_median(|s| {
-        Scenario::testbed_msplayer(s, msplayer_cfg(SchedulerKind::Harmonic, 1024, 40.0))
-    });
+    let t256 = testbed_median(msplayer_cfg(SchedulerKind::Harmonic, 256, 40.0));
+    let t1m = testbed_median(msplayer_cfg(SchedulerKind::Harmonic, 1024, 40.0));
     assert!(
         (t256 - t1m).abs() / t1m < 0.25,
         "256 KB within 25 % of 1 MB: {t256:.2} vs {t1m:.2}"
@@ -135,18 +124,14 @@ fn fig3_harmonic_default_chunk_choice_is_justified() {
 
 #[test]
 fn fig4_youtube_msplayer_beats_best_single_path_at_all_prebuffers() {
+    let paths = youtube_paths();
     for pb in [20.0, 40.0, 60.0] {
-        let ms = prebuffer_median(|s| {
-            Scenario::youtube_msplayer(s, msplayer_cfg(SchedulerKind::Harmonic, 256, pb))
-        });
-        let wifi = prebuffer_median(|s| {
-            Scenario::youtube_single_path(
-                s,
-                PathProfile::wifi_youtube(),
-                Network::Wifi,
-                commercial(256, pb),
-            )
-        });
+        let ms = prebuffer_median(
+            ServiceSpec::youtube(),
+            &paths,
+            msplayer_cfg(SchedulerKind::Harmonic, 256, pb),
+        );
+        let wifi = prebuffer_median(ServiceSpec::youtube(), &paths[..1], commercial(256, pb));
         assert!(
             ms < wifi,
             "pb={pb}: MSPlayer {ms:.2} must beat WiFi {wifi:.2}"
@@ -156,36 +141,24 @@ fn fig4_youtube_msplayer_beats_best_single_path_at_all_prebuffers() {
 
 // --- Fig. 5 ----------------------------------------------------------------
 
-fn refill_median(who: &str, cfg: PlayerConfig) -> f64 {
-    let samples: Vec<f64> = seeds()
-        .flat_map(|seed| {
-            let mut s = match who {
-                "ms" => Scenario::youtube_msplayer(seed, cfg.clone()),
-                "wifi" => Scenario::youtube_single_path(
-                    seed,
-                    PathProfile::wifi_youtube(),
-                    Network::Wifi,
-                    cfg.clone(),
-                ),
-                _ => unreachable!(),
-            };
-            s.stop = StopCondition::AfterRefills(2);
-            run_session(&s)
-                .refills
-                .iter()
-                .map(|r| r.duration().as_secs_f64())
-                .collect::<Vec<_>>()
-        })
+/// Median refill time over the YouTube-profile `paths`, two cycles per
+/// seed.
+fn refill_median(paths: &[PathSetup], cfg: PlayerConfig) -> f64 {
+    let stop = StopCondition::AfterRefills(2);
+    let samples: Vec<f64> = run_seeds(ServiceSpec::youtube(), paths, cfg, stop)
+        .iter()
+        .flat_map(|m| m.refills.iter().map(|r| r.duration().as_secs_f64()))
         .collect();
     median(&samples)
 }
 
 #[test]
 fn fig5_bigger_chunks_refill_faster_and_msplayer_is_fastest() {
-    let wifi64 = refill_median("wifi", commercial(64, 40.0).with_rebuffer_secs(20.0));
-    let wifi256 = refill_median("wifi", commercial(256, 40.0).with_rebuffer_secs(20.0));
+    let paths = youtube_paths();
+    let wifi64 = refill_median(&paths[..1], commercial(64, 40.0).with_rebuffer_secs(20.0));
+    let wifi256 = refill_median(&paths[..1], commercial(256, 40.0).with_rebuffer_secs(20.0));
     let ms = refill_median(
-        "ms",
+        &paths,
         msplayer_cfg(SchedulerKind::Harmonic, 256, 40.0).with_rebuffer_secs(20.0),
     );
     assert!(
@@ -199,16 +172,16 @@ fn fig5_bigger_chunks_refill_faster_and_msplayer_is_fastest() {
 
 #[test]
 fn table1_wifi_carries_majority_of_prebuffer_traffic() {
-    let mut fractions = Vec::new();
-    for seed in seeds() {
-        let mut s =
-            Scenario::youtube_msplayer(seed, msplayer_cfg(SchedulerKind::Harmonic, 256, 40.0));
-        s.stop = StopCondition::AfterRefills(1);
-        let m = run_session(&s);
-        if let Some(f) = m.traffic_fraction(0, TrafficPhase::PreBuffering) {
-            fractions.push(f * 100.0);
-        }
-    }
+    let fractions: Vec<f64> = run_seeds(
+        ServiceSpec::youtube(),
+        &youtube_paths(),
+        msplayer_cfg(SchedulerKind::Harmonic, 256, 40.0),
+        StopCondition::AfterRefills(1),
+    )
+    .iter()
+    .filter_map(|m| m.traffic_fraction(0, TrafficPhase::PreBuffering))
+    .map(|f| f * 100.0)
+    .collect();
     let avg = fractions.iter().sum::<f64>() / fractions.len() as f64;
     assert!(
         (50.0..80.0).contains(&avg),

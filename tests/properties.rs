@@ -2,10 +2,19 @@
 //! configuration, seed, or message content.
 
 use msplayer::core::config::{GammaRounding, PlayerConfig, SchedulerKind};
+use msplayer::core::metrics::SessionMetrics;
 use msplayer::core::metrics::TrafficPhase;
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
+use msplayer::core::sim::{testbed_paths, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 use msplayer::simcore::units::ByteSize;
 use proptest::prelude::*;
+
+/// Runs `player` over the testbed's WiFi + LTE paths on a fresh host.
+fn run_testbed(seed: u64, player: PlayerConfig, stop: StopCondition) -> SessionMetrics {
+    let session = SessionSpec::new(seed, testbed_paths().into(), player).with_stop(stop);
+    SessionHost::new(ServiceSpec::testbed())
+        .run(&session)
+        .expect("valid spec")
+}
 
 fn scheduler_strategy() -> impl Strategy<Value = SchedulerKind> {
     prop::sample::select(vec![
@@ -40,7 +49,7 @@ proptest! {
             .with_prebuffer_secs(prebuffer);
         cfg.ooo_cap = ooo_cap;
         cfg.gamma_rounding = if gamma_ceil { GammaRounding::Ceil } else { GammaRounding::Exact };
-        let m = run_session(&Scenario::testbed_msplayer(seed, cfg));
+        let m = run_testbed(seed, cfg, StopCondition::PrebufferDone);
 
         // Terminates with the target reached.
         let t = m.prebuffer_time().expect("prebuffer reached");
@@ -80,14 +89,10 @@ proptest! {
         seed in 0u64..100_000,
         kind in scheduler_strategy(),
     ) {
-        let mut s = Scenario::testbed_msplayer(
-            seed,
-            PlayerConfig::msplayer()
-                .with_scheduler(kind)
-                .with_prebuffer_secs(10.0),
-        );
-        s.stop = StopCondition::AfterRefills(1);
-        let m = run_session(&s);
+        let cfg = PlayerConfig::msplayer()
+            .with_scheduler(kind)
+            .with_prebuffer_secs(10.0);
+        let m = run_testbed(seed, cfg, StopCondition::AfterRefills(1));
         for phase in [TrafficPhase::PreBuffering, TrafficPhase::ReBuffering] {
             if let (Some(f0), Some(f1)) =
                 (m.traffic_fraction(0, phase), m.traffic_fraction(1, phase))

@@ -4,7 +4,10 @@
 //! MSPlayer provides robustness for video delivery in mobile scenarios").
 
 use msplayer::core::config::PlayerConfig;
-use msplayer::core::sim::{run_session, Scenario, ServerFailure, StopCondition};
+use msplayer::core::metrics::SessionMetrics;
+use msplayer::core::sim::{
+    testbed_paths, ServerFailure, ServiceSpec, SessionHost, SessionSpec, StopCondition,
+};
 use msplayer::net::middlebox::{negotiate_mptcp, us_carrier_survey, MptcpNegotiation};
 use msplayer::net::OutageSchedule;
 use msplayer::simcore::rng::Prng;
@@ -14,16 +17,28 @@ fn quick() -> PlayerConfig {
     PlayerConfig::msplayer().with_prebuffer_secs(15.0)
 }
 
+/// MSPlayer over the testbed's WiFi + LTE paths.
+fn testbed(seed: u64, player: PlayerConfig) -> SessionSpec {
+    SessionSpec::new(seed, testbed_paths().into(), player)
+}
+
+/// Runs `session` on a fresh testbed host.
+fn run(session: &SessionSpec) -> SessionMetrics {
+    SessionHost::new(ServiceSpec::testbed())
+        .run(session)
+        .expect("valid spec")
+}
+
 #[test]
 fn wifi_outage_does_not_stall_playback() {
     // WiFi dies shortly after playback starts; LTE must carry the stream.
-    let mut s = Scenario::testbed_msplayer(101, quick());
+    let mut s = testbed(101, quick());
     s.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
         SimTime::from_secs(6),
         SimTime::from_secs(30),
     )]));
     s.stop = StopCondition::AfterRefills(2);
-    let m = run_session(&s);
+    let m = run(&s);
     assert!(m.prebuffer_done_at.is_some());
     assert!(m.refills.len() >= 2);
     assert_eq!(
@@ -39,16 +54,13 @@ fn single_path_suffers_where_msplayer_does_not() {
     // The same outage applied to a single-path player: the viewer stalls.
     let outage =
         OutageSchedule::from_windows(vec![(SimTime::from_secs(6), SimTime::from_secs(40))]);
-    let mut single = Scenario::testbed_single_path(
-        101,
-        msplayer::net::PathProfile::wifi_testbed(),
-        msplayer::youtube::Network::Wifi,
-        PlayerConfig::commercial_single_path(msplayer::simcore::units::ByteSize::kb(256))
-            .with_prebuffer_secs(15.0),
-    );
-    single.paths[0].outages = Some(outage);
-    single.stop = StopCondition::AfterRefills(2);
-    let m = run_session(&single);
+    let [mut wifi, _] = testbed_paths();
+    wifi.outages = Some(outage);
+    let player = PlayerConfig::commercial_single_path(msplayer::simcore::units::ByteSize::kb(256))
+        .with_prebuffer_secs(15.0);
+    let single =
+        SessionSpec::new(101, vec![wifi], player).with_stop(StopCondition::AfterRefills(2));
+    let m = run(&single);
     assert!(
         !m.stalls.is_empty(),
         "a 34 s outage must stall a single-path player"
@@ -66,10 +78,10 @@ fn repeated_outages_random_schedule() {
             SimDuration::from_secs(5),
             &mut rng,
         );
-        let mut s = Scenario::testbed_msplayer(seed, quick());
+        let mut s = testbed(seed, quick());
         s.paths[0].outages = Some(schedule);
         s.stop = StopCondition::AfterRefills(1);
-        let m = run_session(&s);
+        let m = run(&s);
         assert!(
             m.prebuffer_done_at.is_some(),
             "seed {seed}: flaky WiFi must not kill the session"
@@ -79,14 +91,14 @@ fn repeated_outages_random_schedule() {
 
 #[test]
 fn server_failure_failover_to_replica_in_same_network() {
-    let mut s = Scenario::testbed_msplayer(55, quick());
-    s.server_failure = Some(ServerFailure {
+    let mut s = testbed(55, quick());
+    s.server_failures.push(ServerFailure {
         path: 0,
         from: SimTime::from_secs(1),
         until: SimTime::from_secs(600),
     });
     s.stop = StopCondition::AfterRefills(1);
-    let m = run_session(&s);
+    let m = run(&s);
     assert!(m.failovers[0] >= 1, "failover executed");
     assert!(m.prebuffer_done_at.is_some(), "replica carried the stream");
     // The WiFi path keeps contributing after the switch.
@@ -95,20 +107,20 @@ fn server_failure_failover_to_replica_in_same_network() {
 
 #[test]
 fn failure_before_any_traffic_is_survivable() {
-    let mut s = Scenario::testbed_msplayer(66, quick());
-    s.server_failure = Some(ServerFailure {
+    let mut s = testbed(66, quick());
+    s.server_failures.push(ServerFailure {
         path: 1,
         from: SimTime::ZERO,
         until: SimTime::from_secs(600),
     });
     s.stop = StopCondition::PrebufferDone;
-    let m = run_session(&s);
+    let m = run(&s);
     assert!(m.prebuffer_done_at.is_some());
 }
 
 #[test]
 fn both_paths_with_disjoint_outages_still_complete() {
-    let mut s = Scenario::testbed_msplayer(77, quick());
+    let mut s = testbed(77, quick());
     s.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
         SimTime::from_secs(4),
         SimTime::from_secs(12),
@@ -118,7 +130,7 @@ fn both_paths_with_disjoint_outages_still_complete() {
         SimTime::from_secs(22),
     )]));
     s.stop = StopCondition::AfterRefills(1);
-    let m = run_session(&s);
+    let m = run(&s);
     assert!(m.prebuffer_done_at.is_some());
     assert!(!m.refills.is_empty());
 }
@@ -137,9 +149,9 @@ fn middlebox_survey_matches_paper() {
 #[test]
 fn energy_extension_reports_lte_cost() {
     use msplayer::core::energy::{joules_per_mb, InterfaceEnergyModel};
-    let mut s = Scenario::testbed_msplayer(88, quick());
+    let mut s = testbed(88, quick());
     s.stop = StopCondition::AfterRefills(1);
-    let m = run_session(&s);
+    let m = run(&s);
     let wifi_jpm = joules_per_mb(&m, 0, InterfaceEnergyModel::wifi()).expect("wifi active");
     let lte_jpm = joules_per_mb(&m, 1, InterfaceEnergyModel::lte()).expect("lte active");
     assert!(
